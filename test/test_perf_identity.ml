@@ -14,9 +14,9 @@
      tripwire for someone reintroducing a closure, [Some] box, or fresh
      table on a per-access path.
 
-   - Same-seed identity goldens: re-running the pinned list/queue
-     configurations across schemes reproduces the committed result JSON
-     (and one Chrome trace) byte-for-byte.  These goldens were generated
+   - Same-seed identity goldens: re-running the pinned list/queue/hash/
+     skip-list configurations across schemes reproduces the committed
+     result JSON (and the Chrome traces) byte-for-byte.  These goldens were generated
      BEFORE the hot-path rewrites, so they pin the rewrites to the old
      behaviour, interleaving included. *)
 
@@ -225,6 +225,14 @@ let hash_scan_scheme =
   Experiment.Stacktrack_s
     { Stacktrack.St_config.default with hash_scan = true; max_free = 4 }
 
+let hash_smr_cfg scheme =
+  {
+    (identity_cfg Experiment.Hash_s scheme 8) with
+    Experiment.key_range = 4096;
+    init_size = 2048;
+    mutation_pct = 50;
+  }
+
 let identity_cases =
   [
     ( "goldens/identity_list_st.json",
@@ -249,6 +257,24 @@ let identity_cases =
       identity_cfg Experiment.List_s Experiment.Debra_plus 12 );
     ( "goldens/identity_list_hazard_eras.json",
       identity_cfg Experiment.List_s Experiment.Hazard_eras 12 );
+    (* Scaled-down hash-smr slice (the benchmark's manual-scheme workload:
+       4096 keys / 2048 live / 512 buckets, 50% mutations) under every
+       scheme it runs, plus the skip list and reference counting (the only
+       scheme priming link counts during raw population). *)
+    ( "goldens/identity_hash_hazards.json",
+      hash_smr_cfg Experiment.Hazards );
+    ( "goldens/identity_hash_hazard_eras.json",
+      hash_smr_cfg Experiment.Hazard_eras );
+    ("goldens/identity_hash_epoch.json", hash_smr_cfg Experiment.Epoch);
+    ("goldens/identity_hash_debra.json", hash_smr_cfg Experiment.Debra);
+    ( "goldens/identity_hash_debra_plus.json",
+      hash_smr_cfg Experiment.Debra_plus );
+    ( "goldens/identity_skiplist_st.json",
+      identity_cfg Experiment.Skiplist_s Experiment.stacktrack_default 8 );
+    ( "goldens/identity_skiplist_hazards.json",
+      identity_cfg Experiment.Skiplist_s Experiment.Hazards 8 );
+    ( "goldens/identity_list_refcount.json",
+      identity_cfg Experiment.List_s Experiment.Refcount_s 12 );
     (* The lifecycle ledger rides the same run: its samplers and per-object
        event stream are schedule-sensitive, so this golden also pins the
        sampler timed-wait path ([Sched.sleep_until]). *)
@@ -284,6 +310,52 @@ let test_identity_trace_golden () =
     (read_file "goldens/identity_trace_list_st.json")
     (Chrome_trace.to_string trace ^ "\n")
 
+(* Chrome traces of the manual schemes' retire/scan/stall/neutralize
+   events, pinned as MD5 digests of the [--trace-out] file bytes (the
+   traces themselves are ~100 KB each).  One line per case,
+   ["<case> <md5>"]. *)
+let smr_trace_cases =
+  let hash scheme =
+    {
+      (hash_smr_cfg scheme) with
+      Experiment.threads = 4;
+      duration = 100_000;
+    }
+  in
+  let list400k ?(crash_tids = []) scheme =
+    {
+      (identity_cfg Experiment.List_s scheme 4) with
+      Experiment.duration = 400_000;
+      mutation_pct = 50;
+      crash_tids;
+    }
+  in
+  [
+    ("hash_epoch", hash Experiment.Epoch);
+    ("hash_hazards", hash Experiment.Hazards);
+    ("hash_hazard-eras", hash Experiment.Hazard_eras);
+    ("hash_debra", hash Experiment.Debra);
+    ("hash_debra+", hash Experiment.Debra_plus);
+    ("list_dta", list400k Experiment.Dta);
+    ("list_debra_crash", list400k ~crash_tids:[ 0 ] Experiment.Debra);
+    ("list_debra+_crash", list400k ~crash_tids:[ 0 ] Experiment.Debra_plus);
+  ]
+
+let test_smr_trace_digests () =
+  let lines =
+    List.map
+      (fun (name, cfg) ->
+        let trace = Trace.create ~capacity:200_000 ~enabled:true () in
+        let _ = Experiment.run { cfg with Experiment.trace = Some trace } in
+        let bytes = Chrome_trace.to_string trace ^ "\n" in
+        Printf.sprintf "%s %s\n" name (Digest.to_hex (Digest.string bytes)))
+      smr_trace_cases
+  in
+  Alcotest.(check string)
+    "goldens/identity_trace_smr_digests.txt byte-identical"
+    (read_file "goldens/identity_trace_smr_digests.txt")
+    (String.concat "" lines)
+
 let () =
   Alcotest.run "perf_identity"
     [
@@ -304,5 +376,6 @@ let () =
         [
           quick "result JSON across schemes" test_identity_goldens;
           quick "chrome trace" test_identity_trace_golden;
+          quick "manual-scheme chrome traces" test_smr_trace_digests;
         ] );
     ]
