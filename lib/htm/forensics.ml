@@ -3,7 +3,7 @@
    Hashtbl growth (per-line / per-segment tables) and never draws RNG or
    charges cycles, so it cannot perturb a run. *)
 
-let max_threads = 256
+let max_threads = St_sim.Topology.max_threads
 let max_retry_depth = 64
 
 type segment = {

@@ -39,7 +39,7 @@ let doomed_conflict = Some Htm_stats.Conflict
 let doomed_capacity = Some Htm_stats.Capacity
 let doomed_interrupt = Some Htm_stats.Interrupt
 
-let max_threads = 256
+let max_threads = St_sim.Topology.max_threads
 
 (* Thread-id bitsets for the per-line conflict index: [max_threads] bits
    packed into native ints. *)

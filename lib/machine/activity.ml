@@ -1,4 +1,4 @@
-let max_threads = 256
+let max_threads = St_sim.Topology.max_threads
 
 type t = {
   slots : Ctx.t option array;

@@ -1,10 +1,10 @@
-(** DEBRA+ (Brown, PODC 2015): DEBRA with neutralization — the recovery
-    path that closes epoch reclamation's stalled-thread hole.
+(** DEBRA+ (Brown, PODC 2015): the {!Epoch_bags} core with neutralization
+    — the recovery path that closes epoch reclamation's stalled-thread
+    hole.
 
-    Identical to {!Debra} on the fast path (per-thread limbo bags, one
-    amortized peer check per operation).  The difference is what happens
-    when the rotating advance check parks on a peer announced inside an
-    operation at an old epoch: instead of waiting forever, after
+    Identical to {!Debra} on the fast path.  The difference is what
+    happens when the rotating advance check parks on a peer announced
+    inside an operation at an old epoch: instead of waiting forever, after
     [patience] cycles the checking thread {e neutralizes} the peer with a
     simulated POSIX signal ({!Sched.signal}).  The signal handler marks
     the victim quiescent — safe, because the victim's interrupted
@@ -23,242 +23,85 @@
     written against the recovery API. *)
 
 open St_sim
-open St_mem
-open St_htm
+open Epoch_bags
 
-(* announce.(tid) = (last observed epoch lsl 1) lor (1 if inside an op) *)
-
-type scheme = {
-  rt : Guard.runtime;
-  stats : Guard.stats;
+type policy = {
   patience : int;
-  mutable epoch : int;
-  announce : int array;
   neutralized : bool array; (* set by the handler, cleared on recovery *)
-  registered : int Vec.t;
   mutable neutralizations : int; (* signals delivered *)
   mutable recoveries : int; (* restarts observed by live victims *)
 }
 
-let bags_count = 3
+(* Neutralize [peer]: deliver the signal while it is provably announced
+   inside an operation.  The announcement re-check, the delivery and the
+   handler all run in this scheduler step (no [consume] between), so the
+   victim cannot complete its operation in the window.  The syscall cost
+   is charged after delivery. *)
+let neutralize th peer =
+  let sched = th.s.rt.Guard.sched in
+  if th.s.announce.(peer) land 1 = 1 then begin
+    Sched.signal sched peer;
+    Sched.consume sched (Sched.costs sched).context_switch
+  end
 
-module Hooks = struct
-  type t = scheme
-
-  type thread = {
-    s : scheme;
-    tid : int;
-    bags : Word.addr Vec.t array;
-    mutable my_epoch : int;
-    mutable check_idx : int;
-    mutable blocked_on : int; (* peer the check is parked on, -1 if none *)
-    mutable blocked_since : int;
-  }
+module Neutralize = struct
+  type t = policy
 
   let name = "debra+"
-  let runtime t = t.rt
-  let stats t = t.stats
 
-  let create_thread s ~tid =
-    if not (Vec.exists (fun t -> t = tid) s.registered) then
-      Vec.push s.registered tid;
+  (* The handler runs synchronously at delivery, in the signaller's
+     context: all it publishes is the quiescent announcement the victim
+     itself would have written. *)
+  let on_register s ~tid =
     let sched = s.rt.Guard.sched in
-    (* The handler runs synchronously at delivery, in the signaller's
-       context: all it publishes is the quiescent announcement the victim
-       itself would have written. *)
     Sched.set_signal_handler sched ~tid (fun () ->
         s.announce.(tid) <- (s.announce.(tid) asr 1) lsl 1;
-        s.neutralized.(tid) <- true;
-        s.neutralizations <- s.neutralizations + 1;
+        s.policy.neutralized.(tid) <- true;
+        s.policy.neutralizations <- s.policy.neutralizations + 1;
         let tr = Sched.trace sched in
         if Trace.on tr then
           Trace.instant tr ~time:(Sched.now_or_global sched) ~tid
-            Trace.Reclaim "neutralize" Trace.no_detail);
-    {
-      s;
-      tid;
-      bags = Array.init bags_count (fun _ -> Vec.create ());
-      my_epoch = 0;
-      check_idx = 0;
-      blocked_on = -1;
-      blocked_since = 0;
-    }
+            Trace.Reclaim "neutralize" Trace.no_detail)
 
-  (* Pop-before-free so an unwind mid-batch (crash or neutralization of
-     this thread) can never double-free on the restart's re-rotation. *)
-  let free_bag th bag =
-    let s = th.s in
-    let sched = s.rt.Guard.sched in
-    let pending = Vec.length bag in
-    if pending > 0 then begin
-      let tr = Sched.trace sched in
-      if Trace.on tr then
-        Trace.span_begin tr ~time:(Sched.now sched) ~tid:th.tid Trace.Reclaim
-          "scan" (fun () -> Printf.sprintf "pending=%d" pending);
-      s.stats.Guard.scans <- s.stats.Guard.scans + 1;
-      let profile = Sched.profile sched in
-      Profile.push_mode profile ~tid:th.tid Profile.Reclaim_scan;
-      Fun.protect
-        ~finally:(fun () -> Profile.pop_mode profile ~tid:th.tid)
-        (fun () ->
-          while Vec.length bag > 0 do
-            let addr = Vec.get bag (Vec.length bag - 1) in
-            Vec.truncate bag (Vec.length bag - 1);
-            Tsx.free s.rt.Guard.tsx addr;
-            Guard.note_free s.stats ~now:(Sched.now sched) addr
-          done);
-      if Trace.on tr then
-        Trace.span_end tr ~time:(Sched.now sched) ~tid:th.tid Trace.Reclaim
-          "scan" (fun () -> Printf.sprintf "freed=%d held=0" pending)
+  (* We were neutralized and unwound: this is the recovery path. *)
+  let on_begin th =
+    let p = th.s.policy in
+    if p.neutralized.(th.tid) then begin
+      p.neutralized.(th.tid) <- false;
+      p.recoveries <- p.recoveries + 1
     end
 
-  let sync_bags th e =
-    if e > th.my_epoch then begin
-      if e - th.my_epoch >= bags_count then
-        Array.iter (fun bag -> free_bag th bag) th.bags
-      else
-        for m = th.my_epoch + 1 to e do
-          free_bag th th.bags.(m mod bags_count)
-        done;
-      th.my_epoch <- e;
-      th.check_idx <- 0;
+  (* A peer that stays parked below the current epoch for [patience]
+     cycles gets neutralized instead of stalling the epoch forever. *)
+  let stalled th ~peer =
+    let now = Sched.now th.s.rt.Guard.sched in
+    if th.blocked_on <> peer then begin
+      th.blocked_on <- peer;
+      th.blocked_since <- now
+    end
+    else if now - th.blocked_since > th.s.policy.patience then begin
+      neutralize th peer;
       th.blocked_on <- -1
     end
 
-  (* Neutralize [peer]: deliver the signal while it is provably announced
-     inside an operation.  The announcement re-check, the delivery and
-     the handler all run in this scheduler step (no [consume] between),
-     so the victim cannot complete its operation in the window.  The
-     syscall cost is charged after delivery. *)
-  let neutralize th peer =
-    let s = th.s in
-    let sched = s.rt.Guard.sched in
-    if s.announce.(peer) land 1 = 1 then begin
-      Sched.signal sched peer;
-      Sched.consume sched (Sched.costs sched).context_switch
-    end
-
-  (* One peer per operation, like DEBRA — but a peer that stays parked
-     below the current epoch for [patience] cycles gets neutralized
-     instead of stalling the epoch forever. *)
-  let advance_check th e =
-    let s = th.s in
-    let sched = s.rt.Guard.sched in
-    let costs = Sched.costs sched in
-    let n = Vec.length s.registered in
-    if n > 0 then begin
-      if th.check_idx >= n then th.check_idx <- 0;
-      let peer = Vec.get s.registered th.check_idx in
-      let a = s.announce.(peer) in
-      Sched.consume sched costs.load;
-      s.stats.Guard.scan_words <- s.stats.Guard.scan_words + 1;
-      if peer = th.tid || a land 1 = 0 || a asr 1 >= e then begin
-        th.blocked_on <- -1;
-        th.check_idx <- th.check_idx + 1;
-        if th.check_idx >= n && s.epoch = e then begin
-          s.epoch <- e + 1;
-          th.check_idx <- 0;
-          Sched.consume sched costs.cas
-        end
-      end
-      else begin
-        let now = Sched.now sched in
-        if th.blocked_on <> peer then begin
-          th.blocked_on <- peer;
-          th.blocked_since <- now
-        end
-        else if now - th.blocked_since > th.s.patience then begin
-          neutralize th peer;
-          th.blocked_on <- -1
-        end
-      end
-    end
-
-  let on_begin th ~op_id:_ =
-    let s = th.s in
-    let sched = s.rt.Guard.sched in
-    let costs = Sched.costs sched in
-    if s.neutralized.(th.tid) then begin
-      (* We were neutralized and unwound: this is the recovery path. *)
-      s.neutralized.(th.tid) <- false;
-      s.recoveries <- s.recoveries + 1
-    end;
-    let e = s.epoch in
-    Sched.consume sched costs.load;
-    if e <> th.my_epoch then sync_bags th e;
-    s.announce.(th.tid) <- (e lsl 1) lor 1;
-    Sched.consume sched costs.store;
-    advance_check th e
-
-  let on_end th =
-    let s = th.s in
-    (* Quiescent announcement before the charge: a synchronous neutralizer
-       can never signal a thread whose body already completed. *)
-    s.announce.(th.tid) <- th.my_epoch lsl 1;
-    Sched.consume s.rt.Guard.sched (Sched.costs s.rt.Guard.sched).store
-
-  let protected_read th ~slot:_ addr = Tsx.nt_read th.s.rt.Guard.tsx addr
-  let release _ ~slot:_ = ()
-  let protect_value _ ~slot:_ _ = ()
-
-  let retire th addr =
-    let s = th.s in
-    let sched = s.rt.Guard.sched in
-    let tr = Sched.trace sched in
-    let bag = th.bags.(th.my_epoch mod bags_count) in
-    if Trace.on tr then
-      Trace.instant tr ~time:(Sched.now sched) ~tid:th.tid Trace.Reclaim
-        "retire" (fun () ->
-          Printf.sprintf "addr=%d pending=%d" addr (Vec.length bag + 1));
-    Guard.note_retire s.stats ~now:(Sched.now sched) addr;
-    Vec.push bag addr
-
-  (* Between-operations drain.  Unlike DEBRA, a peer stuck inside an
-     operation does not block the drain: it is neutralized on sight
-     (always sound — at worst it restarts an operation). *)
-  let quiesce th =
-    let s = th.s in
-    let sched = s.rt.Guard.sched in
-    let costs = Sched.costs sched in
-    if Array.exists (fun bag -> Vec.length bag > 0) th.bags then
-      for _round = 1 to bags_count do
-        let e = s.epoch in
-        Sched.consume sched costs.load;
-        sync_bags th e;
-        for i = 0 to Vec.length s.registered - 1 do
-          let peer = Vec.get s.registered i in
-          Sched.consume sched costs.load;
-          s.stats.Guard.scan_words <- s.stats.Guard.scan_words + 1;
-          let a = s.announce.(peer) in
-          if peer <> th.tid && a land 1 = 1 && a asr 1 < e then
-            neutralize th peer
-        done;
-        if s.epoch = e then begin
-          s.epoch <- e + 1;
-          Sched.consume sched costs.cas
-        end;
-        sync_bags th s.epoch
-      done
-
-  let alloc th ~size = Tsx.alloc th.s.rt.Guard.tsx ~size
-  let write th addr v = Tsx.nt_write th.s.rt.Guard.tsx addr v
-  let cas th addr ~expect v = Tsx.nt_cas th.s.rt.Guard.tsx addr ~expect v
+  (* A peer stuck inside an operation does not block the drain: it is
+     neutralized on sight (always sound — at worst it restarts an
+     operation). *)
+  let blocks_drain th ~peer =
+    neutralize th peer;
+    false
 end
 
-include Simple.Make_recoverable (Hooks)
+include Simple.Make_recoverable (Epoch_bags.Hooks (Neutralize))
 
-let neutralizations s = s.neutralizations
-let recoveries s = s.recoveries
+let neutralizations s = s.policy.neutralizations
+let recoveries s = s.policy.recoveries
 
 let create ?(patience = 100_000) rt =
-  {
-    rt;
-    stats = Guard.make_stats ();
-    patience;
-    epoch = 0;
-    announce = Array.make 256 0;
-    neutralized = Array.make 256 false;
-    registered = Vec.create ();
-    neutralizations = 0;
-    recoveries = 0;
-  }
+  Epoch_bags.create rt
+    {
+      patience;
+      neutralized = Array.make Topology.max_threads false;
+      neutralizations = 0;
+      recoveries = 0;
+    }

@@ -25,7 +25,7 @@ type scheme = {
   batch : int;
   patience : int;
   timestamps : int array; (* indexed by tid; odd = inside an operation *)
-  mutable registered : int list;
+  registered : Guard.Peers.t;
 }
 
 module Hooks = struct
@@ -38,8 +38,7 @@ module Hooks = struct
   let stats t = t.stats
 
   let create_thread s ~tid =
-    (* Dedupe: a re-registered tid must not be waited on twice. *)
-    if not (List.mem tid s.registered) then s.registered <- tid :: s.registered;
+    Guard.Peers.register s.registered tid;
     { s; tid; buffer = Vec.create () }
 
   let bump th =
@@ -71,7 +70,7 @@ module Hooks = struct
     Fun.protect
       ~finally:(fun () -> Profile.pop_mode profile ~tid:th.tid)
       (fun () ->
-        List.iter
+        Guard.Peers.iter
           (fun tid ->
             if tid <> th.tid && !ok then begin
               let snap = s.timestamps.(tid) in
@@ -102,47 +101,25 @@ module Hooks = struct
           Printf.sprintf "cycles=%d grace=%b" (Sched.now sched - t0) !ok);
     !ok
 
+  (* The grace wait's stall span nests inside the scan span; the buffer
+     is freed only when the grace period completed. *)
   let reclaim th =
     let s = th.s in
-    let sched = s.rt.Guard.sched in
-    let pending = Vec.length th.buffer in
-    let tr = Sched.trace sched in
-    if Trace.on tr then
-      Trace.span_begin tr ~time:(Sched.now sched) ~tid:th.tid Trace.Reclaim
-        "scan" (fun () -> Printf.sprintf "pending=%d" pending);
-    s.stats.Guard.scans <- s.stats.Guard.scans + 1;
-    let profile = Sched.profile sched in
-    Profile.push_mode profile ~tid:th.tid Profile.Reclaim_scan;
-    Fun.protect
-      ~finally:(fun () -> Profile.pop_mode profile ~tid:th.tid)
-      (fun () ->
+    Guard.reclaim_pass s.rt s.stats ~tid:th.tid
+      ~pending:(Vec.length th.buffer) (fun () ->
         if wait_for_grace th then begin
-          Vec.iter
-            (fun addr ->
-              Tsx.free s.rt.Guard.tsx addr;
-              Guard.note_free s.stats ~now:(Sched.now sched) addr)
-            th.buffer;
+          Vec.iter (Guard.free_noted s.rt s.stats) th.buffer;
           Vec.clear th.buffer
-        end);
-    if Trace.on tr then
-      Trace.span_end tr ~time:(Sched.now sched) ~tid:th.tid Trace.Reclaim
-        "scan" (fun () ->
-          Printf.sprintf "freed=%d held=%d"
-            (pending - Vec.length th.buffer)
-            (Vec.length th.buffer))
+        end;
+        Vec.length th.buffer)
 
   (* Retires only buffer; reclamation runs at the next quiescent point
      (operation end), where this thread provably holds no references — this
      is how epoch implementations avoid reclaimers blocking each other
      while both are mid-operation. *)
   let retire th addr =
-    let sched = th.s.rt.Guard.sched in
-    let tr = Sched.trace sched in
-    if Trace.on tr then
-      Trace.instant tr ~time:(Sched.now sched) ~tid:th.tid Trace.Reclaim
-        "retire" (fun () ->
-          Printf.sprintf "addr=%d pending=%d" addr (Vec.length th.buffer + 1));
-    Guard.note_retire th.s.stats ~now:(Sched.now sched) addr;
+    Guard.retire_noted th.s.rt th.s.stats ~tid:th.tid
+      ~pending:(Vec.length th.buffer + 1) addr;
     Vec.push th.buffer addr
 
   let on_end th =
@@ -163,6 +140,6 @@ let create ?(batch = 2) ?(patience = 250_000) rt =
     stats = Guard.make_stats ();
     batch;
     patience;
-    timestamps = Array.make 256 0;
-    registered = [];
+    timestamps = Array.make Topology.max_threads 0;
+    registered = Guard.Peers.create ();
   }

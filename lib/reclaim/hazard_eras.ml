@@ -32,7 +32,7 @@ type scheme = {
   reservations : int array array; (* [tid].(0) = lo, [tid].(1) = hi; 0 = none *)
   mutable birth_eras : int array; (* keyed by Heap.birth_ix (0 sentinel slot unused) *)
   mutable retire_count : int; (* global, drives the era clock *)
-  mutable registered : int list;
+  registered : Guard.Peers.t;
 }
 
 let ensure_birth s ix =
@@ -61,14 +61,13 @@ module Hooks = struct
   let stats t = t.stats
 
   let create_thread s ~tid =
-    (* Dedupe: a re-registered tid must not be scanned twice. *)
-    if not (List.mem tid s.registered) then s.registered <- tid :: s.registered;
+    Guard.Peers.register s.registered tid;
     {
       s;
       tid;
       buffer = Vec.create ();
-      snap_lo = Array.make 256 0;
-      snap_hi = Array.make 256 0;
+      snap_lo = Array.make Topology.max_threads 0;
+      snap_hi = Array.make Topology.max_threads 0;
     }
 
   let on_begin th ~op_id:_ =
@@ -136,20 +135,11 @@ module Hooks = struct
     let s = th.s in
     let sched = s.rt.Guard.sched in
     let costs = Sched.costs sched in
-    let pending = Vec.length th.buffer / 3 in
-    let tr = Sched.trace sched in
-    if Trace.on tr then
-      Trace.span_begin tr ~time:(Sched.now sched) ~tid:th.tid Trace.Reclaim
-        "scan" (fun () -> Printf.sprintf "pending=%d" pending);
-    s.stats.Guard.scans <- s.stats.Guard.scans + 1;
-    let profile = Sched.profile sched in
-    Profile.push_mode profile ~tid:th.tid Profile.Reclaim_scan;
-    Fun.protect
-      ~finally:(fun () -> Profile.pop_mode profile ~tid:th.tid)
-      (fun () ->
+    Guard.reclaim_pass s.rt s.stats ~tid:th.tid
+      ~pending:(Vec.length th.buffer / 3) (fun () ->
         (* Snapshot every thread's published interval (two words each). *)
         let n_res = ref 0 in
-        List.iter
+        Guard.Peers.iter
           (fun tid ->
             let res = s.reservations.(tid) in
             let lo = res.(0) and hi = res.(1) in
@@ -182,30 +172,18 @@ module Hooks = struct
             Vec.set th.buffer (!w + 2) retired;
             w := !w + 3
           end
-          else begin
-            Tsx.free s.rt.Guard.tsx addr;
-            Guard.note_free s.stats ~now:(Sched.now sched) addr
-          end;
+          else Guard.free_noted s.rt s.stats addr;
           r := !r + 3
         done;
-        Vec.truncate th.buffer !w);
-    if Trace.on tr then
-      Trace.span_end tr ~time:(Sched.now sched) ~tid:th.tid Trace.Reclaim
-        "scan" (fun () ->
-          Printf.sprintf "freed=%d held=%d"
-            (pending - (Vec.length th.buffer / 3))
-            (Vec.length th.buffer / 3))
+        Vec.truncate th.buffer !w;
+        !w / 3)
 
   let retire th addr =
     let s = th.s in
     let sched = s.rt.Guard.sched in
-    let tr = Sched.trace sched in
-    if Trace.on tr then
-      Trace.instant tr ~time:(Sched.now sched) ~tid:th.tid Trace.Reclaim
-        "retire" (fun () ->
-          Printf.sprintf "addr=%d pending=%d" addr
-            ((Vec.length th.buffer / 3) + 1));
-    Guard.note_retire s.stats ~now:(Sched.now sched) addr;
+    Guard.retire_noted s.rt s.stats ~tid:th.tid
+      ~pending:((Vec.length th.buffer / 3) + 1)
+      addr;
     let ix = Heap.birth_ix (Guard.heap s.rt) addr in
     let birth =
       if ix > 0 && ix < Array.length s.birth_eras then s.birth_eras.(ix)
@@ -238,8 +216,8 @@ let create ?(batch = 16) ?(era_freq = 8) rt =
     batch;
     era_freq;
     era = 1;
-    reservations = Array.init 256 (fun _ -> Array.make 2 0);
+    reservations = Array.init Topology.max_threads (fun _ -> Array.make 2 0);
     birth_eras = Array.make 1024 0;
     retire_count = 0;
-    registered = [];
+    registered = Guard.Peers.create ();
   }

@@ -47,8 +47,7 @@ module Hooks = struct
   let free s ~tid:_ p =
     Hashtbl.remove s.counts p;
     Hashtbl.remove s.retired_set p;
-    Tsx.free s.rt.Guard.tsx p;
-    Guard.note_free s.stats ~now:(Sched.now s.rt.Guard.sched) p
+    Guard.free_noted s.rt s.stats p
 
   let inc s p = Hashtbl.replace s.counts p (count s p + 1)
 

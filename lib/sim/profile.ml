@@ -60,7 +60,7 @@ type ledger = {
   mutable charged : int; (* everything this ledger ever absorbed *)
 }
 
-let max_threads = 256
+let max_threads = Topology.max_threads
 
 type t = { enabled : bool; ledgers : ledger array }
 

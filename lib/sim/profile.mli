@@ -41,7 +41,6 @@ val account_name : account -> string
 val account_names : string list
 
 val n_accounts : int
-val max_threads : int
 
 type t
 

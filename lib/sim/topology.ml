@@ -1,3 +1,5 @@
+let max_threads = 256
+
 type t = {
   cores : int;
   smt : int;

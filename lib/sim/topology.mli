@@ -6,6 +6,10 @@
     spreads CPU-bound threads: one per physical core first, then the second
     hyperthread of each core, then time-multiplexed. *)
 
+val max_threads : int
+(** Thread-id slots of the simulated machine: every per-thread table is
+    sized for tids [0, max_threads). *)
+
 type t = private {
   cores : int;
   smt : int;
