@@ -165,6 +165,10 @@ let profile t = t.profile
 let add_thread t body =
   assert (not t.started);
   let tid = t.n_registered in
+  if tid >= Topology.max_threads then
+    invalid_arg
+      (Printf.sprintf "Sched.add_thread: at most %d threads"
+         Topology.max_threads);
   let lcore = Topology.placement t.topo tid in
   let th =
     {

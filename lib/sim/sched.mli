@@ -63,7 +63,8 @@ val profile : t -> Profile.t
 
 val add_thread : t -> (int -> unit) -> int
 (** [add_thread t body] registers a thread; [body] receives the thread id.
-    Must be called before {!run}.  Returns the thread id. *)
+    Must be called before {!run}.  Returns the thread id.  Raises
+    [Invalid_argument] past {!Topology.max_threads} threads. *)
 
 val thread_rng : t -> int -> Rng.t
 (** Independent per-thread stream, split deterministically from the seed. *)
