@@ -340,13 +340,7 @@ let report ppf doc =
         (istr (as_int (path_get fx [ "wasted"; "explicit" ])))
         (istr (as_int (path_get fx [ "wasted"; "unresolved" ])))
         (istr (as_int (path_get fx [ "wasted"; "total" ])));
-      let take n l =
-        let rec go n = function
-          | x :: rest when n > 0 -> x :: go (n - 1) rest
-          | _ -> []
-        in
-        go n l
-      in
+      let take n = List.filteri (fun i _ -> i < n) in
       (match as_list (member "conflict_pairs" fx) with
       | [] -> ()
       | pairs ->

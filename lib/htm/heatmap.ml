@@ -65,9 +65,4 @@ let snapshot ?(top = 16) t =
         else compare a.line b.line)
       rows
   in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: rest -> x :: take (n - 1) rest
-  in
-  take top rows
+  List.filteri (fun i _ -> i < top) rows

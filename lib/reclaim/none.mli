@@ -12,3 +12,14 @@
 include Guard.S
 
 val create : Guard.runtime -> t
+
+(** The body shared with {!Immediate}: no per-thread state, plain
+    non-transactional accesses; only [retire] differs. *)
+module Trivial (R : sig
+  val name : string
+  val retire : Guard.runtime -> Guard.stats -> St_mem.Word.addr -> unit
+end) : sig
+  include Guard.S
+
+  val create : Guard.runtime -> t
+end

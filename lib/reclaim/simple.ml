@@ -1,11 +1,3 @@
-(** Functor factoring out everything the non-HTM schemes share.
-
-    The baselines (none, immediate, epoch, hazard pointers, reference
-    counting, drop-the-anchor) all execute operation bodies exactly once,
-    keep operation locals in a plain array, and access simulated memory
-    non-transactionally.  They differ only in the protection, retirement and
-    (for reference counting) store hooks, supplied via {!HOOKS}. *)
-
 open St_sim
 open St_mem
 open St_htm
@@ -30,10 +22,6 @@ module type HOOKS = sig
 
   val write : thread -> Word.addr -> Word.value -> unit
   val cas : thread -> Word.addr -> expect:Word.value -> Word.value -> bool
-  (** Most schemes delegate to {!Tsx.nt_write} / {!Tsx.nt_cas}; reference
-      counting intercepts pointer stores to maintain link counts.
-      Likewise most [alloc] hooks delegate to {!Tsx.alloc}; the era
-      schemes stamp the node's birth era on the way out. *)
 end
 
 (* Unsealed implementation shared by [Make] and [Make_recoverable]; the
@@ -105,7 +93,8 @@ module Make_recoverable (H : HOOKS) : sig
 
   val hook_thread : thread -> H.thread
 end = struct
-  include Impl (H)
+  module I = Impl (H)
+  include I
 
   (* Like [Impl.run_op], but catches the simulated-signal unwind
      ([Sched.Signal_interrupt]) delivered by a neutralizing reclaimer and
@@ -116,17 +105,7 @@ end = struct
      using this wrapper must only deliver signals to threads that are
      announced as inside an operation (between [on_begin]'s announcement
      and [on_end]'s quiescence), so a completed body is never re-run. *)
-  let run_op th ~op_id f =
-    let rec attempt () =
-      match
-        H.on_begin th.h ~op_id;
-        Array.fill th.locals 0 (Array.length th.locals) 0;
-        let r = f th in
-        H.on_end th.h;
-        r
-      with
-      | r -> r
-      | exception Sched.Signal_interrupt -> attempt ()
-    in
-    attempt ()
+  let rec run_op th ~op_id f =
+    try I.run_op th ~op_id f
+    with Sched.Signal_interrupt -> run_op th ~op_id f
 end
