@@ -323,19 +323,11 @@ let check_books name (r : Experiment.result) =
         | None -> ())
       fx.Experiment.fx_limits
 
+(* Every registered scheme, by its canonical CLI name. *)
 let all_schemes =
-  [
-    ("original", Experiment.Original);
-    ("hazards", Experiment.Hazards);
-    ("epoch", Experiment.Epoch);
-    ("stacktrack", Experiment.stacktrack_default);
-    ("dta", Experiment.Dta);
-    ("refcount", Experiment.Refcount_s);
-    ("immediate", Experiment.Immediate_unsafe);
-    ("debra", Experiment.Debra);
-    ("debra+", Experiment.Debra_plus);
-    ("hazard-eras", Experiment.Hazard_eras);
-  ]
+  List.map
+    (fun (e : Experiment.scheme_entry) -> (List.hd e.names, e.kind))
+    Experiment.schemes
 
 let test_books_all_schemes () =
   List.iter

@@ -282,6 +282,109 @@ let test_figure_smoke () =
       | _ -> Alcotest.fail "unexpected row shape")
     rows
 
+(* ------------------------------------------------------------------ *)
+(* Scheme registry and thread limit                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Exhaustive on purpose: a new [scheme_kind] constructor fails to compile
+   here until it is given an index, and then fails the test until it is
+   registered. *)
+let constructor_index = function
+  | Experiment.Original -> 0
+  | Hazards -> 1
+  | Epoch -> 2
+  | Stacktrack_s _ -> 3
+  | Dta -> 4
+  | Refcount_s -> 5
+  | Immediate_unsafe -> 6
+  | Debra -> 7
+  | Debra_plus -> 8
+  | Hazard_eras -> 9
+
+let test_registry_covers_kinds () =
+  Alcotest.(check (list int))
+    "every constructor registered exactly once"
+    (List.init 10 Fun.id)
+    (List.sort compare
+       (List.map
+          (fun (e : Experiment.scheme_entry) -> constructor_index e.kind)
+          Experiment.schemes))
+
+let test_registry_names_parse () =
+  let all_names =
+    List.concat_map (fun (e : Experiment.scheme_entry) -> e.names)
+      Experiment.schemes
+  in
+  checki "no name shared by two entries"
+    (List.length all_names)
+    (List.length (List.sort_uniq compare all_names));
+  List.iter
+    (fun (e : Experiment.scheme_entry) ->
+      checkb (e.display ^ " display name") true
+        (Experiment.scheme_name e.kind = e.display);
+      List.iter
+        (fun name ->
+          match Experiment.scheme_of_name name with
+          | Some k ->
+              checki (name ^ " parses to its entry")
+                (constructor_index e.kind) (constructor_index k)
+          | None -> Alcotest.failf "%s does not parse" name)
+        e.names)
+    Experiment.schemes;
+  checkb "unknown name rejected" true (Experiment.scheme_of_name "bogus" = None)
+
+let test_registry_canonical_names () =
+  List.iter
+    (fun (e : Experiment.scheme_entry) ->
+      let sched =
+        St_sim.Sched.create ~topology:(St_sim.Topology.create ()) ~seed:1 ()
+      in
+      let heap = St_mem.Heap.create ~shadow:(St_mem.Shadow.create ()) () in
+      let tsx = St_htm.Tsx.create ~sched ~heap () in
+      let rt = St_reclaim.Guard.make_runtime ~sched ~tsx in
+      match (e.create e.kind rt).packed with
+      | Experiment.Packed ((module G), _) ->
+          Alcotest.(check string)
+            (e.display ^ " canonical name") G.name (List.hd e.names))
+    Experiment.schemes
+
+(* The limit leaves room for every harness thread a run may add: crash
+   injector, live-object, metrics and lifecycle samplers, with the
+   per-thread profiler tables on. *)
+let limit_cfg threads =
+  {
+    Experiment.default_config with
+    threads;
+    duration = 20_000;
+    crash_tids = [ 0 ];
+    lifecycle = true;
+    profile = true;
+    sample_live = 5_000;
+    metrics_interval = 5_000;
+  }
+
+let test_threads_at_limit () =
+  List.iter
+    (fun scheme ->
+      let r =
+        Experiment.run { (limit_cfg Experiment.max_threads) with scheme }
+      in
+      checki "one op count per worker" Experiment.max_threads
+        (Array.length r.ops_per_thread);
+      checki "no violations" 0 r.violations)
+    [ Experiment.stacktrack_default; Experiment.Debra_plus ]
+
+let test_threads_above_limit () =
+  match Experiment.run (limit_cfg (Experiment.max_threads + 1)) with
+  | _ -> Alcotest.fail "a run above the thread limit was accepted"
+  | exception Invalid_argument msg ->
+      let limit = string_of_int Experiment.max_threads in
+      let rec mentions i =
+        i + String.length limit <= String.length msg
+        && (String.sub msg i (String.length limit) = limit || mentions (i + 1))
+      in
+      checkb ("error names the limit: " ^ msg) true (mentions 0)
+
 let () =
   Alcotest.run "st_harness"
     [
@@ -312,6 +415,16 @@ let () =
           Alcotest.test_case "zipf" `Quick test_zipf_dist;
           Alcotest.test_case "crash injection" `Quick test_crash_injection_runs;
           Alcotest.test_case "all structures" `Quick test_structures_all_run;
+          Alcotest.test_case "threads at the limit" `Quick test_threads_at_limit;
+          Alcotest.test_case "threads above the limit" `Quick
+            test_threads_above_limit;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "every kind once" `Quick test_registry_covers_kinds;
+          Alcotest.test_case "names parse back" `Quick test_registry_names_parse;
+          Alcotest.test_case "canonical = Guard.S.name" `Quick
+            test_registry_canonical_names;
         ] );
       ( "figures",
         [

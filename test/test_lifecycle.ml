@@ -282,19 +282,11 @@ let check_conservation name (r : Experiment.result) =
   in
   Alcotest.(check bool) (name ^ ": series time monotone") true monotone
 
+(* Every registered scheme, by its canonical CLI name. *)
 let all_schemes =
-  [
-    ("original", Experiment.Original);
-    ("hazards", Experiment.Hazards);
-    ("epoch", Experiment.Epoch);
-    ("stacktrack", Experiment.stacktrack_default);
-    ("dta", Experiment.Dta);
-    ("refcount", Experiment.Refcount_s);
-    ("immediate", Experiment.Immediate_unsafe);
-    ("debra", Experiment.Debra);
-    ("debra+", Experiment.Debra_plus);
-    ("hazard-eras", Experiment.Hazard_eras);
-  ]
+  List.map
+    (fun (e : Experiment.scheme_entry) -> (List.hd e.names, e.kind))
+    Experiment.schemes
 
 let test_conservation_all_schemes () =
   List.iter

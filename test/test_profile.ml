@@ -27,16 +27,11 @@ let base =
     profile = true;
   }
 
+(* Every registered scheme, by its canonical CLI name. *)
 let all_schemes =
-  [
-    ("original", Experiment.Original);
-    ("hazards", Experiment.Hazards);
-    ("epoch", Experiment.Epoch);
-    ("stacktrack", Experiment.stacktrack_default);
-    ("dta", Experiment.Dta);
-    ("refcount", Experiment.Refcount_s);
-    ("immediate", Experiment.Immediate_unsafe);
-  ]
+  List.map
+    (fun (e : Experiment.scheme_entry) -> (List.hd e.names, e.kind))
+    Experiment.schemes
 
 let snapshot_of (r : Experiment.result) =
   match r.profile with
