@@ -311,9 +311,9 @@ let check_regressions baseline_path results =
 
 let () =
   Arg.parse spec (fun t -> targets := t :: !targets) "hosttime [options] targets";
-  if !threads < 1 || !threads > Experiment.max_threads then begin
+  if !threads < 1 || !threads > St_sim.Topology.max_threads then begin
     Printf.eprintf "hosttime: --threads %d: must be between 1 and %d\n"
-      !threads Experiment.max_threads;
+      !threads St_sim.Topology.max_threads;
     exit 2
   end;
   let all = [ "fig1-list"; "fig1-skiplist"; "fig2-queue"; "fig2-hash" ] in

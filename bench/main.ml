@@ -4,10 +4,8 @@
                                        [--jobs N] [--json-out FILE]
                                        [--profile] [--flame-out FILE]
 
-   Targets (default: all)
-     fig1-list fig1-skiplist fig2-queue fig2-hash fig3-aborts fig4-splits
-     fig5-slowpath scan-behavior ablations crash robustness latency memory stm
-     fig-scale micro all
+   Targets (default: all): every name in Figures.table, plus micro and all;
+   an unknown target exits 2 and lists the valid ones.
 
    --jobs N runs the sweep points of each figure on a pool of N domains
    (default 1 = sequential; 0 = Domain.recommended_domain_count).  Reports
@@ -164,57 +162,39 @@ let run_micro () =
 
 let () =
   parse_args ();
-  let speed = if !quick then Figures.Quick else Figures.Full in
-  let verbose = !verbose in
-  let jobs = !jobs in
-  let profile = !profile || !flame_out <> None in
-  let lifecycle = !lifecycle in
+  let figures =
+    match Figures.select (List.filter (( <> ) "micro") !targets) with
+    | Ok figures -> figures
+    | Error unknown ->
+        Printf.eprintf "main.exe: unknown target %s; valid: %s\n"
+          (String.concat ", " unknown)
+          (String.concat " " (Figures.names @ [ "micro"; "all" ]));
+        exit 2
+  in
+  let opts =
+    {
+      Figures.verbose = !verbose;
+      jobs = !jobs;
+      profile = !profile || !flame_out <> None;
+      lifecycle = !lifecycle;
+      forensics = !forensics;
+      speed = (if !quick then Figures.Quick else Figures.Full);
+    }
+  in
   (* Results of the figures that return full Experiment.results, in the
      order the figures ran, for --json-out. *)
-  let collected = ref [] in
-  let collect_rows rows = collected := !collected @ List.concat_map snd rows in
-  if want "fig1-list" then
-    collect_rows (Figures.fig1_list ~verbose ~jobs ~profile ~lifecycle ~speed ());
-  if want "fig1-skiplist" then
-    collect_rows
-      (Figures.fig1_skiplist ~verbose ~jobs ~profile ~lifecycle ~speed ());
-  if want "fig2-queue" then
-    collect_rows (Figures.fig2_queue ~verbose ~jobs ~profile ~lifecycle ~speed ());
-  if want "fig2-hash" then
-    collect_rows (Figures.fig2_hash ~verbose ~jobs ~profile ~lifecycle ~speed ());
-  if want "fig3-aborts" then ignore (Figures.fig3_aborts ~verbose ~jobs ~speed ());
-  if want "fig4-splits" then
-    ignore (Figures.fig4_splits ~verbose ~jobs ~forensics:!forensics ~speed ());
-  if want "fig5-slowpath" then ignore (Figures.fig5_slowpath ~verbose ~jobs ~speed ());
-  if want "scan-behavior" then ignore (Figures.scan_behavior ~verbose ~jobs ~speed ());
-  if want "ablations" then begin
-    ignore (Figures.ablation_predictor ~verbose ~jobs ~speed ());
-    ignore (Figures.ablation_scan ~verbose ~jobs ~speed ())
-  end;
-  if want "crash" then ignore (Figures.crash_resilience ~verbose ~jobs ~speed ());
-  if want "robustness" then
-    collected :=
-      !collected @ List.map snd (Figures.robustness ~verbose ~jobs ~speed ());
-  if want "latency" then ignore (Figures.latency_profile ~verbose ~jobs ~speed ());
-  if want "memory" then
-    collected :=
-      !collected
-      @ List.map snd
-          (Figures.memory_profile ~verbose ~jobs ~profile ~lifecycle ~speed ());
-  if want "stm" then ignore (Figures.stm_vs_htm ~verbose ~jobs ~speed ());
-  if want "fig-scale" then
-    collect_rows (Figures.fig_scale ~verbose ~jobs ~speed ());
+  let collected = List.concat_map (fun (_, run) -> run opts) figures in
   if want "micro" then run_micro ();
   (match !json_out with
   | Some file ->
       Json_out.write_file file
-        (Json_out.List (List.map Result_json.encode !collected));
+        (Json_out.List (List.map Result_json.encode collected));
       (* stderr, so stdout stays byte-identical across output filenames *)
-      Format.eprintf "json: %s (%d results)@." file (List.length !collected)
+      Format.eprintf "json: %s (%d results)@." file (List.length collected)
   | None -> ());
   (match !flame_out with
   | Some file ->
-      Result_json.write_flame_file file !collected;
-      Format.eprintf "flame: %s (%d results)@." file (List.length !collected)
+      Result_json.write_flame_file file collected;
+      Format.eprintf "flame: %s (%d results)@." file (List.length collected)
   | None -> ());
   Format.printf "@.done.@."

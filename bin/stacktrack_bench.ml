@@ -194,7 +194,8 @@ let run_cmd =
       value & opt int 8
       & info [ "threads"; "t" ]
           ~doc:
-            (Printf.sprintf "Worker threads (1 to %d)." Experiment.max_threads))
+            (Printf.sprintf "Worker threads (1 to %d)."
+               St_sim.Topology.max_threads))
   in
   let duration =
     Arg.(
@@ -272,7 +273,9 @@ let run_cmd =
       & info [ "metrics-interval" ] ~docv:"N"
           ~doc:
             "Sample machine-wide counters every $(docv) virtual cycles \
-             into a time series (0 = off); included in --json output.")
+             into a time series (0 = off); included in --json output.  \
+             The sampler is a scheduler timer, not a thread: the \
+             simulated run is unchanged.")
   in
   let profile =
     Arg.(
@@ -306,8 +309,8 @@ let run_cmd =
              retire-to-free latency percentiles, limbo/footprint peaks and \
              a stalled-reclamation watchdog report to the text output, a \
              reclaim_lifecycle section to --json, and limbo counter tracks \
-             to --trace-out.  Registers an extra sampler thread, so the \
-             schedule differs from an unflagged run.")
+             to --trace-out.  The sampler is a scheduler timer, not a \
+             thread: the simulated run is unchanged.")
   in
   let forensics =
     Arg.(
@@ -326,9 +329,9 @@ let run_cmd =
   let run structure scheme threads duration keys init mutations seed buckets
       forced_slow max_free hash_scan crash zipf json trace_out trace_capacity
       metrics_interval profile flame_out lifecycle forensics =
-    if threads < 1 || threads > Experiment.max_threads then begin
+    if threads < 1 || threads > St_sim.Topology.max_threads then begin
       Printf.eprintf "stacktrack_bench: --threads %d: must be between 1 and %d\n"
-        threads Experiment.max_threads;
+        threads St_sim.Topology.max_threads;
       exit 2
     end;
     match scheme_of_string ~forced_slow ~max_free ~hash_scan scheme with
@@ -415,9 +418,9 @@ let figures_cmd =
       value & pos_all string [ "all" ]
       & info [] ~docv:"FIGURE"
           ~doc:
-            "Figures to reproduce: fig1-list fig1-skiplist fig2-queue \
-             fig2-hash fig3-aborts fig4-splits fig5-slowpath scan-behavior \
-             ablations crash robustness latency memory stm fig-scale all.")
+            ("Figures to reproduce: "
+            ^ String.concat " " (Figures.names @ [ "all" ])
+            ^ "."))
   in
   let quick =
     Arg.(value & flag & info [ "quick" ] ~doc:"Coarser sweeps, shorter runs.")
@@ -461,35 +464,24 @@ let figures_cmd =
       prerr_endline "stacktrack_bench: --jobs must be >= 0";
       exit 2
     end;
-    let speed = if quick then Figures.Quick else Figures.Full in
-    let want t = List.mem t names || List.mem "all" names in
-    if want "fig1-list" then
-      ignore (Figures.fig1_list ~verbose ~jobs ~lifecycle ~speed ());
-    if want "fig1-skiplist" then
-      ignore (Figures.fig1_skiplist ~verbose ~jobs ~lifecycle ~speed ());
-    if want "fig2-queue" then
-      ignore (Figures.fig2_queue ~verbose ~jobs ~lifecycle ~speed ());
-    if want "fig2-hash" then
-      ignore (Figures.fig2_hash ~verbose ~jobs ~lifecycle ~speed ());
-    if want "fig3-aborts" then ignore (Figures.fig3_aborts ~verbose ~jobs ~speed ());
-    if want "fig4-splits" then
-      ignore (Figures.fig4_splits ~verbose ~jobs ~forensics ~speed ());
-    if want "fig5-slowpath" then
-      ignore (Figures.fig5_slowpath ~verbose ~jobs ~speed ());
-    if want "scan-behavior" then
-      ignore (Figures.scan_behavior ~verbose ~jobs ~speed ());
-    if want "ablations" then begin
-      ignore (Figures.ablation_predictor ~verbose ~jobs ~speed ());
-      ignore (Figures.ablation_scan ~verbose ~jobs ~speed ());
-      ignore (Figures.ablation_contention ~verbose ~jobs ~speed ())
-    end;
-    if want "crash" then ignore (Figures.crash_resilience ~verbose ~jobs ~speed ());
-    if want "robustness" then ignore (Figures.robustness ~verbose ~jobs ~speed ());
-    if want "latency" then ignore (Figures.latency_profile ~verbose ~jobs ~speed ());
-    if want "memory" then
-      ignore (Figures.memory_profile ~verbose ~jobs ~lifecycle ~speed ());
-    if want "stm" then ignore (Figures.stm_vs_htm ~verbose ~jobs ~speed ());
-    if want "fig-scale" then ignore (Figures.fig_scale ~verbose ~jobs ~speed ())
+    match Figures.select names with
+    | Error unknown ->
+        Printf.eprintf "stacktrack_bench: unknown figure %s; valid: %s\n"
+          (String.concat ", " unknown)
+          (String.concat " " (Figures.names @ [ "all" ]));
+        exit 2
+    | Ok figures ->
+        let opts =
+          {
+            Figures.verbose;
+            jobs;
+            profile = false;
+            lifecycle;
+            forensics;
+            speed = (if quick then Figures.Quick else Figures.Full);
+          }
+        in
+        List.iter (fun (_, run) -> ignore (run opts)) figures
   in
   Cmd.v
     (Cmd.info "figures" ~doc:"Reproduce the paper's figures.")

@@ -29,11 +29,6 @@ type scheme_kind =
 
 let stacktrack_default = Stacktrack_s Stacktrack.St_config.default
 
-(* The machine's thread slots less the harness threads a run may add
-   beside its workers: crash injector, live-object, metrics and lifecycle
-   samplers. *)
-let max_threads = Topology.max_threads - 4
-
 (* Existentially packed scheme, plus concrete handles where a scheme needs
    special treatment (no Obj.magic). *)
 type packed = Packed : (module Guard.S with type t = 'a) * 'a -> packed
@@ -135,10 +130,6 @@ type config = {
   cache : Cache.t;
   backend : Tsx.backend;  (** HTM (default) or the TL2-style STM. *)
   crash_tids : int list;  (** Threads crashed at ~25% of the run. *)
-  sample_live : int;
-      (** Sampling interval (cycles) for the live-object profile; 0 = off.
-          Subsumed by [metrics_interval] (which also captures live
-          objects); kept as the lightweight single-series knob. *)
   metrics_interval : int;
       (** Sampling interval (cycles) for the full {!Metrics} time series
           (throughput, abort mix, pending frees, scans...); 0 = off. *)
@@ -153,10 +144,8 @@ type config = {
   lifecycle : bool;
       (** Enable the memory-lifecycle ledger (per-object alloc/retire/free
           stamps), its limbo/footprint time series, and the
-          stalled-reclamation watchdog.  Unlike [profile], this registers
-          an extra sampler thread (one observation per scheduler quantum),
-          so a flagged run is a {e different schedule} from an unflagged
-          one — byte-identity is only promised for unflagged runs. *)
+          stalled-reclamation watchdog.  Its sampler is a scheduler timer,
+          so the simulation result is identical with this on or off. *)
   forensics : bool;
       (** Enable the abort-forensics ledger: who-doomed-whom attribution,
           per-cause wasted-cycle split, per-segment retry chains, and the
@@ -185,7 +174,6 @@ let default_config =
     cache = Cache.create ();
     backend = Tsx.Htm;
     crash_tids = [];
-    sample_live = 0;
     metrics_interval = 0;
     trace = None;
     profile = false;
@@ -262,8 +250,6 @@ type result = {
   final_size : int;  (** Structure size after the run (raw count). *)
   leaked : int;  (** Live heap objects beyond the structure's final needs. *)
   latency : Latency.t;  (** Per-operation latency distribution (cycles). *)
-  live_samples : (int * int) list;
-      (** (time, live objects) samples when [sample_live] > 0. *)
   metrics : Metrics.sample list;
       (** Full counter time series when [metrics_interval] > 0. *)
   peak_live : int;
@@ -275,7 +261,7 @@ type result = {
   lifecycle : lifecycle_summary option;  (** [Some] iff [cfg.lifecycle]. *)
   forensics : forensics_summary option;  (** [Some] iff [cfg.forensics]. *)
   conflict_lines : (int * int) list;
-      (** Per-cache-line conflict-doom counts from [Tsx.conflict_tally]
+      (** Per-cache-line conflict-doom counts from the Tsx heatmap
           (always recorded), (line, dooms) sorted dooms-descending then
           line-ascending.  Feeds the text report's doomed-by table; never
           emitted to JSON, so artifacts are unchanged. *)
@@ -310,10 +296,10 @@ let worker_loop ~sched ~duration ~ops_per_thread ~latency ~(mk : int -> 'th)
   quiesce th
 
 let run cfg =
-  if cfg.threads < 1 || cfg.threads > max_threads then
+  if cfg.threads < 1 || cfg.threads > Topology.max_threads then
     invalid_arg
       (Printf.sprintf "Experiment.run: threads = %d, must be between 1 and %d"
-         cfg.threads max_threads);
+         cfg.threads Topology.max_threads);
   let topo = Topology.create ~cores:cfg.cores ~smt:cfg.smt () in
   (* Forensics needs the pending-transaction pot to split wasted cycles per
      abort cause, so it turns the profiler's bookkeeping on internally;
@@ -362,7 +348,6 @@ let run cfg =
   in
   let ops_per_thread = Array.make cfg.threads 0 in
   let latency = Latency.create () in
-  let live_samples = ref [] in
 
   (* Snapshot every machine-wide counter for the metrics time series.
      Counters are cumulative; consumers difference consecutive samples. *)
@@ -371,12 +356,12 @@ let run cfg =
   let scheme_guard_stats () =
     match inst.packed with Packed ((module G), s) -> G.stats s
   in
-  let metrics_snapshot () =
+  let metrics_snapshot now =
     let htm = Tsx.total_stats tsx in
     let g = scheme_guard_stats () in
     let st = Option.map Stacktrack.Engine.scheme_stats inst.st_handle in
     {
-      Metrics.time = Sched.now sched;
+      Metrics.time = now;
       ops = Array.fold_left ( + ) 0 ops_per_thread;
       live_objects = Heap.live_objects heap;
       allocs = Heap.allocs heap;
@@ -412,75 +397,64 @@ let run cfg =
       (Rng.create ~seed:(cfg.seed + (7919 * (tid + 1))))
   in
 
-  let run_workers worker =
-    for i = 0 to cfg.threads - 1 do
-      ignore (Sched.add_thread sched worker);
-      ignore i
-    done;
-    if cfg.crash_tids <> [] then
-      ignore
-        (Sched.add_thread sched (fun _ ->
-             Sched.consume sched (cfg.duration / 4);
-             List.iter (fun tid -> Sched.crash sched tid) cfg.crash_tids));
-    if cfg.sample_live > 0 then
-      ignore
-        (Sched.add_thread sched (fun _ ->
-             while Sched.now sched < cfg.duration do
-               Sched.consume sched cfg.sample_live;
-               live_samples :=
-                 (Sched.now sched, Heap.live_objects heap) :: !live_samples
-             done));
-    (* A sampler thread calling [f tid now] at every multiple of
-       [interval].  It aims at absolute tick times: its core clock is
-       shared with co-scheduled workers, so consuming a fixed interval per
-       iteration would drift by everything the workers consume in
-       between. *)
-    let add_sampler interval f =
-      ignore
-        (Sched.add_thread sched (fun tid ->
-             let next = ref interval in
-             while Sched.now sched < cfg.duration do
-               Sched.sleep_until sched ~deadline:!next;
-               if Sched.now sched >= !next then begin
-                 f tid (Sched.now sched);
-                 next := ((Sched.now sched / interval) + 1) * interval
-               end
-             done))
+  (* The harness's own actors — crash injector and samplers — are
+     scheduler timers, not threads: they take no lcore, charge no cycles
+     and draw no RNG, so every observer is schedule-invisible and a run
+     registers exactly [cfg.threads] threads.  Their trace events and
+     watchdog spans go on one fixed track, tid [cfg.threads]. *)
+  let timer_tid = cfg.threads in
+  if cfg.crash_tids <> [] then
+    Sched.at sched ~time:(cfg.duration / 4) (fun _ ->
+        List.iter (Sched.crash sched) cfg.crash_tids);
+  (* A sampler calling [f now] at the first multiple of [interval] reached
+     after the previous sample, until a sample lands at [cfg.duration] or
+     later. *)
+  let every interval f =
+    let rec arm time =
+      Sched.at sched ~time (fun now ->
+          f now;
+          if now < cfg.duration then arm (((now / interval) + 1) * interval))
     in
-    if cfg.metrics_interval > 0 then
-      add_sampler cfg.metrics_interval (fun _ _ ->
-          metrics_acc := metrics_snapshot () :: !metrics_acc);
-    (* Lifecycle sampler: one ledger snapshot per scheduler quantum, feeding
-       the limbo/footprint time series, the Chrome counter tracks, and the
-       watchdog (whose threshold is therefore "N quanta without progress").
-       Only registered when [cfg.lifecycle] — the extra thread perturbs the
-       schedule, and unflagged runs must stay byte-identical. *)
-    if cfg.lifecycle then
-      add_sampler cfg.quantum (fun tid now ->
-          let g = scheme_guard_stats () in
-          let limbo = Lifecycle.limbo_objects ledger in
-          let limbo_w = Lifecycle.limbo_words ledger in
-          let live_w = Lifecycle.live_words ledger in
-          lifecycle_acc :=
-            {
-              Metrics.lc_time = now;
-              limbo_objects = limbo;
-              limbo_words = limbo_w;
-              live_words = live_w;
-              peak_limbo_words = Lifecycle.peak_limbo_words ledger;
-              quarantine = Heap.quarantined heap;
-              lc_retired = g.Guard.retired;
-              lc_freed = g.Guard.freed;
-            }
-            :: !lifecycle_acc;
-          Watchdog.observe watchdog ~time:now ~tid ~progress:g.Guard.freed
-            ~backlog:(g.Guard.retired - g.Guard.freed);
-          let tr = Sched.trace sched in
-          if Trace.on tr then begin
-            Trace.counter tr ~time:now ~tid Trace.Reclaim "limbo_objects" limbo;
-            Trace.counter tr ~time:now ~tid Trace.Reclaim "limbo_words" limbo_w;
-            Trace.counter tr ~time:now ~tid Trace.Reclaim "live_words" live_w
-          end);
+    arm interval
+  in
+  if cfg.metrics_interval > 0 then
+    every cfg.metrics_interval (fun now ->
+        metrics_acc := metrics_snapshot now :: !metrics_acc);
+  (* Lifecycle sampler: one ledger snapshot per scheduler quantum, feeding
+     the limbo/footprint time series, the Chrome counter tracks, and the
+     watchdog (whose threshold is therefore "N quanta without progress"). *)
+  if cfg.lifecycle then
+    every cfg.quantum (fun now ->
+        let g = scheme_guard_stats () in
+        let limbo = Lifecycle.limbo_objects ledger in
+        let limbo_w = Lifecycle.limbo_words ledger in
+        let live_w = Lifecycle.live_words ledger in
+        lifecycle_acc :=
+          {
+            Metrics.lc_time = now;
+            limbo_objects = limbo;
+            limbo_words = limbo_w;
+            live_words = live_w;
+            peak_limbo_words = Lifecycle.peak_limbo_words ledger;
+            quarantine = Heap.quarantined heap;
+            lc_retired = g.Guard.retired;
+            lc_freed = g.Guard.freed;
+          }
+          :: !lifecycle_acc;
+        Watchdog.observe watchdog ~time:now ~tid:timer_tid
+          ~progress:g.Guard.freed
+          ~backlog:(g.Guard.retired - g.Guard.freed);
+        let tr = Sched.trace sched in
+        if Trace.on tr then begin
+          let counter = Trace.counter tr ~time:now ~tid:timer_tid in
+          counter Trace.Reclaim "limbo_objects" limbo;
+          counter Trace.Reclaim "limbo_words" limbo_w;
+          counter Trace.Reclaim "live_words" live_w
+        end);
+  let run_workers worker =
+    for _ = 1 to cfg.threads do
+      ignore (Sched.add_thread sched worker)
+    done;
     Sched.run sched
   in
 
@@ -639,12 +613,10 @@ let run cfg =
       done;
       (* Two cross-checks, both fatal on divergence (an instrumentation
          hole, not a property of the scheme under test): the who-doomed-whom
-         matrix against the Tsx per-line conflict tally (same stamp site),
+         matrix against the per-line conflict counts (same stamp site),
          and the per-cause wasted-cycle split against the profiler's
          independent wasted account. *)
-      (match
-         Forensics.cross_check_tally forensics (Tsx.conflict_tally tsx)
-       with
+      (match Forensics.cross_check_tally forensics heatmap with
       | Some msg ->
           failwith ("abort forensics diverged from conflict tally: " ^ msg)
       | None -> ());
@@ -675,16 +647,10 @@ let run cfg =
         List.rev !acc
       in
       let doomed_lines =
-        let acc = ref [] in
-        Forensics.iter_doomed_lines forensics (fun ~line dooms ->
-            acc :=
-              {
-                dl_line = line;
-                dl_dooms = dooms;
-                dl_owner = owner_of_line line;
-              }
-              :: !acc);
-        List.rev !acc
+        List.map
+          (fun (line, dooms) ->
+            { dl_line = line; dl_dooms = dooms; dl_owner = owner_of_line line })
+          (Heatmap.conflict_lines heatmap)
       in
       let causes =
         [
@@ -751,7 +717,6 @@ let run cfg =
     final_size;
     leaked = Heap.live_objects heap - final_size;
     latency;
-    live_samples = List.rev !live_samples;
     metrics = List.rev !metrics_acc;
     peak_live = Heap.peak_live heap;
     profile = profile_snap;
@@ -759,12 +724,9 @@ let run cfg =
     lifecycle = lifecycle_summary;
     forensics = forensics_summary;
     conflict_lines =
-      List.sort
-        (fun (l1, n1) (l2, n2) ->
-          if n1 <> n2 then compare n2 n1 else compare l1 l2)
-        (Hashtbl.fold
-           (fun line n acc -> (line, n) :: acc)
-           (Tsx.conflict_tally tsx) []);
+      List.stable_sort
+        (fun (_, n1) (_, n2) -> compare n2 n1)
+        (Heatmap.conflict_lines heatmap);
     extras = inst.extras ();
     resident_words = Heap.resident_words heap;
     line_table_words = Tsx.line_table_words tsx;

@@ -27,11 +27,6 @@ type scheme_kind =
 val stacktrack_default : scheme_kind
 (** [Stacktrack_s St_config.default]. *)
 
-val max_threads : int
-(** Largest [config.threads]: the machine's {!St_sim.Topology.max_threads}
-    thread slots less the four harness threads a run may add (crash
-    injector and three samplers).  {!run} rejects more. *)
-
 val scheme_name : scheme_kind -> string
 (** Display name used by reports, figures, goldens and JSON. *)
 
@@ -82,14 +77,15 @@ type config = {
   quantum : int;
   cache : St_htm.Cache.t;
   backend : St_htm.Tsx.backend;  (** HTM (default) or the TL2-style STM. *)
-  crash_tids : int list;  (** Threads crashed at ~25% of the run. *)
-  sample_live : int;
-      (** Sampling interval (cycles) for the live-object profile; 0 = off.
-          Subsumed by [metrics_interval] (which also captures live
-          objects); kept as the lightweight single-series knob. *)
+  crash_tids : int list;
+      (** Threads crashed at [duration / 4], by a scheduler timer
+          ({!St_sim.Sched.at}), not an extra thread. *)
   metrics_interval : int;
       (** Sampling interval (cycles) for the full {!Metrics} time series
-          (throughput, abort mix, pending frees, scans...); 0 = off. *)
+          (throughput, abort mix, live objects, pending frees, scans...);
+          0 = off.  Schedule-invisible like every observer below: the
+          sampler is a scheduler timer, so the simulation result is
+          identical at any interval. *)
   trace : St_sim.Trace.t option;
       (** Event sink wired into the simulated machine; [None] (default)
           installs a disabled trace, so instrumentation costs nothing.
@@ -102,10 +98,11 @@ type config = {
   lifecycle : bool;
       (** Enable the memory-lifecycle ledger (per-object alloc/retire/free
           stamps), its limbo-backlog/footprint time series, and the
-          stalled-reclamation watchdog.  Unlike [profile], this registers
-          an extra sampler thread (one observation per scheduler quantum),
-          so a flagged run is a {e different schedule} from an unflagged
-          one — byte-identity is only promised for unflagged runs. *)
+          stalled-reclamation watchdog.  Its sampler (one observation per
+          scheduler quantum) is a scheduler timer, not a thread, so the
+          simulation result is identical with this on or off.  The
+          watchdog's spans and the limbo counter tracks use the timers'
+          trace track, tid [threads]. *)
   forensics : bool;
       (** Enable the abort-forensics ledger ({!St_htm.Forensics}):
           who-doomed-whom attribution, per-cause wasted-cycle split,
@@ -189,8 +186,8 @@ type forensics_summary = {
       (** Final per-segment limit table; [[]] for non-StackTrack schemes. *)
 }
 (** Everything [cfg.forensics] adds to a run.  Before this summary is
-    built, the who-doomed-whom matrix is cross-checked against
-    [Tsx.conflict_tally] (same stamp site) and the per-cause wasted-cycle
+    built, the who-doomed-whom matrix is cross-checked against the
+    per-line conflict counts (same stamp site) and the per-cause wasted-cycle
     split against the profiler's wasted account; a divergence raises
     [Failure]. *)
 
@@ -212,8 +209,6 @@ type result = {
   final_size : int;  (** Structure size after the run (raw count). *)
   leaked : int;  (** Live heap objects beyond the structure's final needs. *)
   latency : Latency.t;  (** Per-operation latency distribution (cycles). *)
-  live_samples : (int * int) list;
-      (** (time, live objects) samples when [sample_live] > 0. *)
   metrics : Metrics.sample list;
       (** Full counter time series when [metrics_interval] > 0. *)
   peak_live : int;
@@ -226,9 +221,10 @@ type result = {
   lifecycle : lifecycle_summary option;  (** [Some] iff [cfg.lifecycle]. *)
   forensics : forensics_summary option;  (** [Some] iff [cfg.forensics]. *)
   conflict_lines : (int * int) list;
-      (** Per-cache-line conflict-doom counts from
-          [St_htm.Tsx.conflict_tally] (always recorded), (line, dooms)
-          sorted dooms-descending then line-ascending.  Feeds the text
+      (** Per-cache-line conflict-doom counts from the HTM manager's
+          heatmap ({!St_htm.Heatmap.conflict_lines}, always recorded),
+          (line, dooms) sorted dooms-descending then line-ascending.
+          Feeds the text
           report's doomed-by table; never emitted to JSON, so unflagged
           artifacts are unchanged. *)
   extras : (string * int) list;
@@ -251,6 +247,8 @@ val throughput_of : ops:int -> makespan:int -> float
 
 val run : config -> result
 (** Run one experiment to completion.  Raises [Invalid_argument] unless
-    [1 <= cfg.threads <= max_threads].  Deterministic in [cfg]; touches no
-    state outside the values it creates, so concurrent calls from
-    different domains are independent. *)
+    [cfg.threads] is between 1 and {!St_sim.Topology.max_threads}; the run
+    registers exactly [cfg.threads] scheduler threads, whatever its
+    observers and crashes.  Deterministic in [cfg]; touches no state
+    outside the values it creates, so concurrent calls from different
+    domains are independent. *)

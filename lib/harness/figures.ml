@@ -531,13 +531,13 @@ let series_table per_scheme series =
 (* The paper's qualitative claim made quantitative: "a thread crash can
    result in an unbounded amount of unreclaimed memory" for quiescence
    schemes (sec 1).  Thread 0 crashes at 25% of the run; live objects are
-   sampled over time: epoch's curve climbs from the crash onward while the
-   non-blocking schemes stay flat. *)
+   read from the metrics series over time: epoch's curve climbs from the
+   crash onward while the non-blocking schemes stay flat. *)
 let memory_profile ?(verbose = false) ?(jobs = 1) ?(profile = false)
     ?(lifecycle = false) ~speed () =
   let base = crash_config speed ~threads:4 in
   let base =
-    { base with sample_live = base.duration / 12; profile; lifecycle }
+    { base with metrics_interval = base.duration / 12; profile; lifecycle }
   in
   let per_scheme =
     run_schemes ~verbose ~jobs base [ Epoch; Hazards; stacktrack_default ]
@@ -546,7 +546,10 @@ let memory_profile ?(verbose = false) ?(jobs = 1) ?(profile = false)
     ~title:"Extension -- live objects over time (list, thread 0 crashes at 25%)"
     ~subtitle:"epoch stops reclaiming at the crash; non-blocking schemes stay flat";
   let columns = List.map (fun (s, _) -> scheme_name s) per_scheme in
-  let rows = series_table per_scheme (fun r -> r.live_samples) in
+  let live (r : Experiment.result) =
+    List.map (fun (s : Metrics.sample) -> (s.time, s.live_objects)) r.metrics
+  in
+  let rows = series_table per_scheme live in
   Report.series ~x_label:"time" ~columns rows;
   List.iter
     (fun (scheme, r) ->
@@ -917,3 +920,88 @@ let fig_scale ?(verbose = false) ?(jobs = 1) ~speed () =
                 lc.limbo_at_end)
         schemes rs);
   List.map (fun (live, rs) -> (live, List.map fst rs)) rows
+
+(* ------------------------------------------------------------------ *)
+(* Figure names: the one table both CLIs read                          *)
+(* ------------------------------------------------------------------ *)
+
+type opts = {
+  verbose : bool;
+  jobs : int;
+  profile : bool;
+  lifecycle : bool;
+  forensics : bool;
+  speed : speed;
+}
+
+(* A figure taking only the common options, reporting derived series. *)
+let plain : type a.
+    (?verbose:bool -> ?jobs:int -> speed:speed -> unit -> a) ->
+    opts ->
+    Experiment.result list =
+ fun f o ->
+  ignore (f ~verbose:o.verbose ~jobs:o.jobs ~speed:o.speed ());
+  []
+
+let sweep
+    (f :
+      ?verbose:bool ->
+      ?jobs:int ->
+      ?profile:bool ->
+      ?lifecycle:bool ->
+      speed:speed ->
+      unit ->
+      (int * Experiment.result list) list) o =
+  List.concat_map snd
+    (f ~verbose:o.verbose ~jobs:o.jobs ~profile:o.profile
+       ~lifecycle:o.lifecycle ~speed:o.speed ())
+
+let table =
+  [
+    ("fig1-list", sweep fig1_list);
+    ("fig1-skiplist", sweep fig1_skiplist);
+    ("fig2-queue", sweep fig2_queue);
+    ("fig2-hash", sweep fig2_hash);
+    ("fig3-aborts", plain fig3_aborts);
+    ( "fig4-splits",
+      fun o ->
+        ignore
+          (fig4_splits ~verbose:o.verbose ~jobs:o.jobs ~forensics:o.forensics
+             ~speed:o.speed ());
+        [] );
+    ("fig5-slowpath", plain fig5_slowpath);
+    ("scan-behavior", plain scan_behavior);
+    ( "ablations",
+      fun o ->
+        plain ablation_predictor o @ plain ablation_scan o
+        @ plain ablation_contention o );
+    ("crash", plain crash_resilience);
+    ( "robustness",
+      fun o ->
+        List.map snd
+          (robustness ~verbose:o.verbose ~jobs:o.jobs ~speed:o.speed ()) );
+    ("latency", plain latency_profile);
+    ( "memory",
+      fun o ->
+        List.map snd
+          (memory_profile ~verbose:o.verbose ~jobs:o.jobs ~profile:o.profile
+             ~lifecycle:o.lifecycle ~speed:o.speed ()) );
+    ("stm", plain stm_vs_htm);
+    ( "fig-scale",
+      fun o ->
+        List.concat_map snd
+          (fig_scale ~verbose:o.verbose ~jobs:o.jobs ~speed:o.speed ()) );
+  ]
+
+let names = List.map fst table
+
+let select wanted =
+  match
+    List.filter (fun n -> n <> "all" && not (List.mem_assoc n table)) wanted
+  with
+  | [] ->
+      Ok
+        (List.filter
+           (fun (n, _) -> List.mem "all" wanted || List.mem n wanted)
+           table)
+  | unknown -> Error unknown

@@ -5,7 +5,11 @@
     {!Pool} of domains), then report from the ordered results — so the
     printed tables/CSV and any JSON export are byte-identical for every
     [jobs] value.  [jobs] defaults to [1] (in-domain, no parallelism);
-    [0] means [Domain.recommended_domain_count ()]. *)
+    [0] means [Domain.recommended_domain_count ()].
+
+    The CLIs run figures by name through {!table}; the figure functions
+    exported below are the ones tests and external drivers call
+    directly. *)
 
 type speed = Quick | Full
 
@@ -45,25 +49,6 @@ val throughput_sweep :
     append one reclamation-health note per scheme when [lifecycle] is
     set. *)
 
-val fig1_list :
-  ?verbose:bool -> ?jobs:int -> ?profile:bool -> ?lifecycle:bool ->
-  speed:speed -> unit -> (int * Experiment.result list) list
-
-val fig1_skiplist :
-  ?verbose:bool -> ?jobs:int -> ?profile:bool -> ?lifecycle:bool ->
-  speed:speed -> unit -> (int * Experiment.result list) list
-
-val fig2_queue :
-  ?verbose:bool -> ?jobs:int -> ?profile:bool -> ?lifecycle:bool ->
-  speed:speed -> unit -> (int * Experiment.result list) list
-
-val fig2_hash :
-  ?verbose:bool -> ?jobs:int -> ?profile:bool -> ?lifecycle:bool ->
-  speed:speed -> unit -> (int * Experiment.result list) list
-
-val fig3_aborts :
-  ?verbose:bool -> ?jobs:int -> speed:speed -> unit -> (int * float list) list
-
 val fig4_splits :
   ?verbose:bool -> ?jobs:int -> ?forensics:bool -> speed:speed -> unit ->
   (int * float list) list
@@ -71,64 +56,42 @@ val fig4_splits :
     ledger on and appends a per-thread-count note (segments tracked,
     predictor limit changes, final limit range) under the table. *)
 
-val fig5_slowpath :
-  ?verbose:bool -> ?jobs:int -> speed:speed -> unit -> (int * float list) list
-
-val scan_behavior :
-  ?verbose:bool -> ?jobs:int -> speed:speed -> unit -> (int * float list) list
-
-val latency_profile :
-  ?verbose:bool -> ?jobs:int -> speed:speed -> unit ->
-  (Experiment.scheme_kind * Latency.t) list
-
 val stm_vs_htm :
   ?verbose:bool -> ?jobs:int -> speed:speed -> unit -> (int * float list) list
 
 val memory_profile :
   ?verbose:bool -> ?jobs:int -> ?profile:bool -> ?lifecycle:bool ->
   speed:speed -> unit -> (Experiment.scheme_kind * Experiment.result) list
+(** Thread 0 crashes at 25% of the run; prints live objects over time
+    from each scheme's metrics series ([metrics_interval] = duration / 12).
+    Epoch climbs from the crash on, Hazards and StackTrack stay flat. *)
 
-val ablation_predictor :
-  ?verbose:bool -> ?jobs:int -> speed:speed -> unit -> (int * float list) list
+(** {2 Figure names} *)
 
-val ablation_contention :
-  ?verbose:bool -> ?jobs:int -> speed:speed -> unit ->
-  (string * Experiment.result) list
+type opts = {
+  verbose : bool;
+  jobs : int;
+  profile : bool;  (** Passed to the fig1/fig2 sweeps and the memory figure. *)
+  lifecycle : bool;  (** Likewise. *)
+  forensics : bool;  (** Passed to fig4-splits. *)
+  speed : speed;
+}
+(** The options a CLI passes to every figure it runs; each figure reads the
+    ones its function takes. *)
 
-val ablation_scan :
-  ?verbose:bool -> ?jobs:int -> speed:speed -> unit -> (int * float list) list
+val table : (string * (opts -> Experiment.result list)) list
+(** Every figure name both CLIs accept, with its runner, in run order.
+    ["ablations"] runs the predictor, scan and contention ablations.  A
+    runner prints its report and returns the full results it exports
+    (the fig1/fig2 and scale sweeps, the robustness and memory figures;
+    [[]] for figures that report only derived series). *)
 
-val crash_resilience :
-  ?verbose:bool -> ?jobs:int -> speed:speed -> unit ->
-  (string * int * int * int) list
-(** (scheme, frees, live-at-end, violations) per scheme. *)
+val names : string list
+(** The names of {!table}, in order. *)
 
-val robustness_schemes : Experiment.scheme_kind list
-(** Epoch, DEBRA, DEBRA+, HazardEras, StackTrack — the columns of the
-    stalled-thread robustness figure. *)
-
-val robustness :
-  ?verbose:bool -> ?jobs:int -> speed:speed -> unit ->
-  (Experiment.scheme_kind * Experiment.result) list
-(** Stalled-thread robustness: thread 0 crashes mid-operation at 25% of
-    the run with the lifecycle ledger on; prints the per-scheme limbo
-    backlog time series (+ CSV) and one watchdog/extras note per scheme.
-    Epoch and DEBRA stagnate (unbounded backlog, ongoing incident),
-    DEBRA+ recovers via neutralization, Hazard Eras and StackTrack stay
-    bounded. *)
-
-val scale_points : speed -> int list
-(** Live-object counts of the scale ramp (up to 10^6 in Full). *)
-
-val scale_schemes : Experiment.scheme_kind list
-(** Epoch, Hazards, DEBRA, StackTrack — the scale-sweep columns. *)
-
-val fig_scale :
-  ?verbose:bool -> ?jobs:int -> speed:speed -> unit ->
-  (int * Experiment.result list) list
-(** Memory-proportionality proof: raw-populates a hash table to 10^4 →
-    10^6+ live objects per scheme (lifecycle ledger on) and prints
-    throughput plus the resident backing-store footprint of the chunked
-    heap and line tables, with a per-scheme limbo note at the largest
-    point.  Host wall-clock per point goes to stderr so stdout stays
-    byte-identical across runs and [--jobs] values. *)
+val select :
+  string list ->
+  ((string * (opts -> Experiment.result list)) list, string list) result
+(** The entries of {!table} named in the list, in table order; ["all"]
+    selects every one.  [Error unknown] lists the names that are neither a
+    figure nor ["all"]. *)

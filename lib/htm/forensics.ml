@@ -1,7 +1,7 @@
 (* Flat-int-array abort forensics ledger.  The disabled singleton makes
    every hook one load + branch; enabled recording allocates only on
-   Hashtbl growth (per-line / per-segment tables) and never draws RNG or
-   charges cycles, so it cannot perturb a run. *)
+   Hashtbl growth (the per-segment table) and never draws RNG or charges
+   cycles, so it cannot perturb a run. *)
 
 let max_threads = St_sim.Topology.max_threads
 let max_retry_depth = 64
@@ -40,7 +40,6 @@ type t = {
   conflict_pairs : int array;  (* victim * max_threads + aborter *)
   capacity_pairs : int array;
   interrupt_victims : int array;
-  doomed_lines : (int, int) Hashtbl.t;
   mutable conflict_dooms : int;
   mutable capacity_dooms : int;
   mutable interrupt_dooms : int;
@@ -62,7 +61,6 @@ let make ~enabled ~timeline_capacity =
     conflict_pairs = Array.make dim 0;
     capacity_pairs = Array.make dim 0;
     interrupt_victims = Array.make (if enabled then max_threads else 0) 0;
-    doomed_lines = Hashtbl.create (if enabled then 64 else 0);
     conflict_dooms = 0;
     capacity_dooms = 0;
     interrupt_dooms = 0;
@@ -95,19 +93,11 @@ let cause_index = function
 (* Recording                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let bump_line t line =
-  let n = match Hashtbl.find_opt t.doomed_lines line with
-    | Some n -> n
-    | None -> 0
-  in
-  Hashtbl.replace t.doomed_lines line (n + 1)
-
-let on_conflict_doom t ~victim ~aborter ~line =
+let on_conflict_doom t ~victim ~aborter =
   if t.enabled then begin
     let i = (victim * max_threads) + aborter in
     t.conflict_pairs.(i) <- t.conflict_pairs.(i) + 1;
-    t.conflict_dooms <- t.conflict_dooms + 1;
-    bump_line t line
+    t.conflict_dooms <- t.conflict_dooms + 1
   end
 
 let on_capacity_doom t ~victim ~aborter =
@@ -197,13 +187,6 @@ let iter_pairs pairs f =
 let iter_conflict_pairs t f = iter_pairs t.conflict_pairs f
 let iter_capacity_pairs t f = iter_pairs t.capacity_pairs f
 
-let sorted_lines tbl =
-  let lines = Hashtbl.fold (fun line n acc -> (line, n) :: acc) tbl [] in
-  List.sort (fun (a, _) (b, _) -> compare a b) lines
-
-let iter_doomed_lines t f =
-  List.iter (fun (line, n) -> f ~line n) (sorted_lines t.doomed_lines)
-
 let delivered t cause = t.delivered.(cause_index cause)
 let wasted_by_cause t cause = t.wasted.(cause_index cause)
 let wasted_unresolved t = t.wasted_unresolved
@@ -254,41 +237,23 @@ let iter_timeline t f =
 let timeline_length t = t.timeline_len
 let timeline_dropped t = t.timeline_dropped
 
-let cross_check_tally t tally =
+let cross_check_tally t heatmap =
   if not t.enabled then None
   else begin
-    let divergence = ref None in
-    let note msg = if !divergence = None then divergence := Some msg in
-    (* Per-line: every tally count must match the forensics line count. *)
-    List.iter
-      (fun (line, n) ->
-        let tallied =
-          match Hashtbl.find_opt tally line with Some n -> n | None -> 0
-        in
-        if tallied <> n then
-          note
-            (Printf.sprintf
-               "line %d: forensics saw %d conflict dooms, tally saw %d" line
-               n tallied))
-      (sorted_lines t.doomed_lines);
-    Hashtbl.iter
-      (fun line n ->
-        if n <> 0 && not (Hashtbl.mem t.doomed_lines line) then
-          note
-            (Printf.sprintf
-               "line %d: tally saw %d conflict dooms, forensics saw none"
-               line n))
-      tally;
-    (* Totals: matrix = per-line = tally. *)
+    (* Matrix = counter = per-line total: the matrix and the per-line
+       counts are stamped at the same doom site. *)
     let matrix_total = Array.fold_left ( + ) 0 t.conflict_pairs in
-    let tally_total = Hashtbl.fold (fun _ n acc -> acc + n) tally 0 in
+    let line_total =
+      List.fold_left (fun acc (_, n) -> acc + n) 0
+        (Heatmap.conflict_lines heatmap)
+    in
     if matrix_total <> t.conflict_dooms then
-      note
+      Some
         (Printf.sprintf "conflict matrix sums to %d but counter says %d"
-           matrix_total t.conflict_dooms);
-    if tally_total <> t.conflict_dooms then
-      note
-        (Printf.sprintf "tally sums to %d but forensics counted %d"
-           tally_total t.conflict_dooms);
-    !divergence
+           matrix_total t.conflict_dooms)
+    else if line_total <> t.conflict_dooms then
+      Some
+        (Printf.sprintf "per-line conflicts sum to %d but forensics counted %d"
+           line_total t.conflict_dooms)
+    else None
   end

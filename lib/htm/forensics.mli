@@ -43,10 +43,11 @@ val enabled : t -> bool
 
 (** {1 Recording — doom sites (Tsx)} *)
 
-val on_conflict_doom : t -> victim:int -> aborter:int -> line:int -> unit
+val on_conflict_doom : t -> victim:int -> aborter:int -> unit
 (** Requester-wins conflict: [aborter]'s access doomed [victim]'s
-    transaction on cache [line].  Same stamp site as the per-line
-    [Tsx.conflict_tally], so the matrix total equals the tally total. *)
+    transaction.  Same stamp site as the per-line count
+    ({!Heatmap.conflict}), so the matrix total equals the per-line
+    total; the per-line view itself is {!Heatmap.conflict_lines}. *)
 
 val on_capacity_doom : t -> victim:int -> aborter:int -> unit
 (** Pressure eviction: [aborter]'s footprint growth evicted [victim]'s
@@ -103,10 +104,6 @@ val iter_conflict_pairs : t -> (victim:int -> aborter:int -> int -> unit) -> uni
 
 val iter_capacity_pairs : t -> (victim:int -> aborter:int -> int -> unit) -> unit
 
-val iter_doomed_lines : t -> (line:int -> int -> unit) -> unit
-(** Conflict dooms per cache line, line ascending.  Totals match
-    [conflict_dooms] and the conflict-pair matrix. *)
-
 val delivered : t -> Htm_stats.abort_reason -> int
 val wasted_by_cause : t -> Htm_stats.abort_reason -> int
 
@@ -153,8 +150,9 @@ val iter_timeline : t -> (decision -> unit) -> unit
 val timeline_length : t -> int
 val timeline_dropped : t -> int
 
-val cross_check_tally : t -> (int, int) Hashtbl.t -> string option
-(** [cross_check_tally t tally] compares the conflict doom matrix
-    against [Tsx.conflict_tally]'s per-line counts (same stamp site):
-    [None] when both the per-line counts and the totals agree, else a
-    human-readable description of the first divergence. *)
+val cross_check_tally : t -> Heatmap.t -> string option
+(** [cross_check_tally t heatmap] checks that the conflict doom matrix,
+    {!conflict_dooms} and the per-line conflict counts of [heatmap]
+    (same stamp site) all have the same total: [None] when they agree,
+    else a human-readable description of the first divergence.  Always
+    [None] for a disabled ledger. *)

@@ -1,7 +1,9 @@
-(* Per-cache-line contention tallies.  Disabled by default: every recording
-   entry point returns immediately, so the hot memory-access paths pay one
-   branch when profiling is off.  Recording is pure arithmetic — no RNG, no
-   cycle charges — so enabling it cannot perturb a run. *)
+(* Per-cache-line contention tallies, the one per-line store of the HTM
+   layer.  Conflict dooms are always counted (they are rare, and the text
+   report and the forensics cross-check read them); touches and capacity
+   aborts only when enabled, so the hot memory-access paths pay one branch
+   when profiling is off.  Recording is pure arithmetic — no RNG, no cycle
+   charges — so it cannot perturb a run. *)
 
 type cell = {
   mutable touches : int;
@@ -30,9 +32,8 @@ let touch t line =
     c.touches <- c.touches + 1
 
 let conflict t line =
-  if t.enabled then
-    let c = cell t line in
-    c.conflicts <- c.conflicts + 1
+  let c = cell t line in
+  c.conflicts <- c.conflicts + 1
 
 let capacity t line =
   if t.enabled then
@@ -66,3 +67,12 @@ let snapshot ?(top = 16) t =
       rows
   in
   List.filteri (fun i _ -> i < top) rows
+
+let conflict_lines t =
+  let lines =
+    Hashtbl.fold
+      (fun line (c : cell) acc ->
+        if c.conflicts > 0 then (line, c.conflicts) :: acc else acc)
+      t.cells []
+  in
+  List.sort (fun (a, _) (b, _) -> compare a b) lines

@@ -135,10 +135,6 @@ type t = {
      list cell per segment). *)
   act_tids : int array array;
   act_len : int array;
-  (* Debug facility: per-line conflict-doom tally (per manager, populated
-     on every conflict doom).  Used to pinpoint hot lines when diagnosing
-     contention storms. *)
-  tally : (int, int) Hashtbl.t;
   heatmap : Heatmap.t;
   forensics : Forensics.t;
 }
@@ -180,7 +176,6 @@ let create ?(cache = Cache.create ()) ?(backend = Htm)
         Array.init (Topology.lcores (Sched.topology sched)) (fun _ ->
             Array.make max_threads 0);
       act_len = Array.make (Topology.lcores (Sched.topology sched)) 0;
-      tally = Hashtbl.create 64;
     }
   in
   (* A timer interrupt / context switch clears the speculative cache state:
@@ -195,8 +190,8 @@ let create ?(cache = Cache.create ()) ?(backend = Htm)
             Forensics.on_interrupt_doom t.forensics ~victim:tid;
             let tr = Sched.trace sched in
             if Trace.on tr then
-              Trace.instant tr ~time:(Sched.now sched) ~tid Trace.Htm "doom"
-                (fun () -> "interrupt")
+              Trace.instant tr ~time:(Sched.now_or_global sched) ~tid
+                Trace.Htm "doom" (fun () -> "interrupt")
         | None -> ());
   t
 
@@ -204,7 +199,6 @@ let heap t = t.heap
 let sched t = t.sched
 let cache t = t.cache
 let stats t ~tid = t.stats.(tid)
-let conflict_tally t = t.tally
 let heatmap t = t.heatmap
 let forensics t = t.forensics
 let profile t = Sched.profile t.sched
@@ -390,13 +384,7 @@ let doom_from t ~me ~line flat =
                txn.doomed <- doomed_conflict;
                Heatmap.conflict t.heatmap line;
                Forensics.on_conflict_doom t.forensics ~victim:!other
-                 ~aborter:me ~line;
-               let n =
-                 match Hashtbl.find t.tally line with
-                 | n -> n
-                 | exception Not_found -> 0
-               in
-               Hashtbl.replace t.tally line (n + 1)
+                 ~aborter:me
            | _ -> ());
         x := !x lsr 1;
         incr other

@@ -50,8 +50,9 @@ val create :
   t
 (** Creates the HTM manager and registers its preemption hook with the
     scheduler.  [n_threads] contexts are lazily sized from the scheduler.
-    [heatmap] (default: disabled) receives per-line touch/conflict/capacity
-    tallies from every memory access.  [forensics] (default: the disabled
+    [heatmap] (default: a fresh disabled one) is this manager's per-line
+    store: conflict dooms always, touches and capacity aborts when it is
+    enabled.  [forensics] (default: the disabled
     singleton) is stamped at every doom site (who-doomed-whom attribution)
     and in the abort delivery funnel (per-cause wasted-cycle split). *)
 
@@ -113,14 +114,12 @@ val alloc : t -> size:int -> St_mem.Word.addr
 
 (** {2 Observation} *)
 
-val conflict_tally : t -> (int, int) Hashtbl.t
-(** Debug: per-line conflict-doom counts of this manager.  Owned by the
-    manager (not a module-level global), so several managers can coexist in
-    one process — e.g. a parallel sweep runner — without corrupting each
-    other's tallies. *)
-
 val heatmap : t -> Heatmap.t
-(** The contention heatmap this manager records into. *)
+(** The contention heatmap this manager records into, including the
+    always-on per-line conflict-doom counts ({!Heatmap.conflict_lines}).
+    Per manager, not a module-level global, so several managers can
+    coexist in one process — e.g. a parallel sweep runner — without
+    corrupting each other's counts. *)
 
 val forensics : t -> Forensics.t
 (** The abort-forensics ledger this manager stamps.  The engine layers

@@ -110,13 +110,21 @@ type t = {
       (* The event wheel's horizon for the currently-running thread: the
          lowest lcore-clock value at which that thread must surrender
          control — the min of (a) the clock at which some other runnable
-         lcore would win [pick_lc] (crossover), and (b) the clock at which
-         its time slice expires while its own queue is contended (quantum).
+         lcore would win [pick_lc] (crossover), (b) the clock at which
+         its time slice expires while its own queue is contended (quantum),
+         and (c) the earliest timer deadline.
          Recomputed once per dispatch by [recompute_next_event]; valid for
          the whole burst because only the running thread's clock can move
          and queue membership only changes on the scheduler side.  [consume]
          therefore charges and compares one int instead of scanning every
          lcore's queue and clock on every cycle charge. *)
+  mutable timers : (int * (int -> unit)) list;
+      (* One-shot timers, deadline ascending, registration order on ties.
+         They fire in scheduler context (see [fire_timers]), so a timer is
+         neither a thread nor a charge: it uses no lcore and no RNG. *)
+  mutable next_timer : int; (* deadline of the head timer, [max_int] if none *)
+  mutable firing : int;
+      (* the clock a timer callback fires at; -1 outside a callback *)
   mutable preempt_hooks : (int -> unit) list;
   mutable context_switches : int;
   mutable cur : thread option;
@@ -150,6 +158,9 @@ let create ?(topology = Topology.create ()) ?(costs = Costs.default)
     live_on = Array.make n 0;
     next_event = max_int;
     next_lc = -1;
+    timers = [];
+    next_timer = max_int;
+    firing = -1;
     preempt_hooks = [];
     context_switches = 0;
     cur = None;
@@ -217,7 +228,7 @@ let global_time t = Array.fold_left max 0 t.clocks
 let now_or_global t =
   match t.cur with
   | Some th -> t.clocks.(th.lcore)
-  | None -> global_time t
+  | None -> if t.firing >= 0 then t.firing else global_time t
 
 (* Every transition into Finished or Crashed must go through here exactly
    once, so the per-lcore live counts stay exact. *)
@@ -300,14 +311,17 @@ let consume_eff = Consume 0
    - [c >  clocks.(j)]     for a runnable lcore [j > lc], or
    - [slice_used >= quantum] while its own queue is contended; slice and
      clock advance in lockstep within a burst, so that is the fixed clock
-     value [clocks.(lc) - slice_used + quantum].
+     value [clocks.(lc) - slice_used + quantum], or
+   - [c >= next_timer], so the pick that fires a due timer happens.  That
+     pick re-chooses [th]: [c] is still short of every crossover term.
 
-   All three are static for the whole burst: no other lcore's clock can
-   advance while [th] runs, and queue membership only changes in scheduler
+   All of these are static for the whole burst: no other lcore's clock can
+   advance while [th] runs, queue membership only changes in scheduler
    context (dispatch, quantum rotation, thread death) — a crash or signal
    delivered by the running thread leaves its victim queued
-   (Doomed/Signalled) until next picked.  So the min folds into a single
-   int that the consume fast path compares against. *)
+   (Doomed/Signalled) until next picked — and [at] lowers [next_event]
+   itself when a burst arms a timer.  So the min folds into a single int
+   that the consume fast path compares against. *)
 let recompute_next_event t th =
   let lc = th.lcore in
   let qs = t.queues in
@@ -333,15 +347,16 @@ let recompute_next_event t th =
     let qexp = clocks.(lc) - th.slice_used + t.quantum in
     if qexp < !ne then ne := qexp
   end;
-  t.next_event <- !ne
+  t.next_event <- (if t.next_timer < !ne then t.next_timer else !ne)
 
 (* Trampoline fast path: charge the clocks and return.  The thread keeps
    control — no continuation capture, no handler round-trip — until its
    clock crosses the precomputed [next_event] horizon, i.e. until yielding
-   would actually hand the machine to a different thread (clock crossover)
-   or the quantum expires on a contended queue.  The schedule, hence every
-   observable interleaving, is identical to yielding on every charge: each
-   elided suspend/resume would have picked this same thread again. *)
+   would actually hand the machine to a different thread (clock crossover),
+   the quantum expires on a contended queue, or a timer falls due.  The
+   schedule, hence every observable interleaving, is identical to yielding
+   on every charge: each elided suspend/resume would have picked this same
+   thread again. *)
 (* [cost * ht_penalty_pct / 100] with the division strength-reduced.  The
    fraction is pre-reduced to [pen_num / pen_den]; the two truncated
    quotients agree exactly because the rationals are equal.  The default
@@ -376,13 +391,30 @@ let consume t cost =
   if t.profile_on then Profile.charge t.profile ~tid:th.tid cost;
   if c >= t.next_event then perform consume_eff
 
-(* Timed wait until the absolute tick [deadline] (the harness samplers'
-   idiom): one charge for the remaining distance, through the same horizon
-   check.  Charging at least 1 cycle keeps a sampler that already reached
-   its deadline from looping without advancing its clock. *)
-let sleep_until t ~deadline =
-  let rem = deadline - now t in
-  consume t (if rem > 0 then rem else 1)
+let at t ~time f =
+  let rec insert = function
+    | (d, _) :: _ as l when d > time -> (time, f) :: l
+    | x :: rest -> x :: insert rest
+    | [] -> [ (time, f) ]
+  in
+  t.timers <- insert t.timers;
+  if time < t.next_timer then t.next_timer <- time;
+  (* Armed from inside a burst: end the burst at the deadline. *)
+  if time < t.next_event then t.next_event <- time
+
+(* Fire, in order, every timer due at [clock] — the clock of the lcore the
+   scheduler just picked — before that lcore is dispatched.  A callback may
+   arm further timers; one due at [clock] fires in this same pass. *)
+let rec fire_timers t clock =
+  match t.timers with
+  | (d, f) :: rest when d <= clock ->
+      t.timers <- rest;
+      t.next_timer <- (match rest with (d', _) :: _ -> d' | [] -> max_int);
+      t.firing <- clock;
+      f clock;
+      t.firing <- -1;
+      fire_timers t clock
+  | _ -> ()
 
 (* Pick the lcore whose runnable-queue head should run next: minimal clock,
    first such lcore on ties, matching iteration order.  Queue heads are the
@@ -512,6 +544,7 @@ let run t =
     let lc = pick_lc t in
     if lc >= 0 then step lc
   and step lc =
+    if t.clocks.(lc) >= t.next_timer then fire_timers t t.clocks.(lc);
     let th = rq_peek t.queues.(lc) in
     match th.state with
     | Crashed | Finished ->

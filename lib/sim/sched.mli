@@ -14,7 +14,9 @@
       core are time-multiplexed with a quantum; expiry costs a context switch
       and fires preemption hooks (the HTM layer uses these to abort in-flight
       transactions, modelling the timer interrupt clearing the cache);
-    - threads can be crashed (never scheduled again) for failure injection. *)
+    - threads can be crashed (never scheduled again) for failure injection;
+    - one-shot timers ({!at}) run harness callbacks (samplers, the crash
+      injector) at virtual-time deadlines without being threads. *)
 
 type t
 
@@ -74,6 +76,19 @@ val on_preempt : t -> (int -> unit) -> unit
     preempted at quantum expiry (before the context-switch cost is charged).
     Also fired when a thread is crashed. *)
 
+val at : t -> time:int -> (int -> unit) -> unit
+(** [at t ~time f] arms a one-shot timer: [f] runs at the first scheduler
+    pick whose chosen lcore clock is [>= time], before that lcore's thread
+    is dispatched, and receives that clock.  Timers fire in deadline order,
+    ties in arming order; [f] may arm further timers and may {!crash}
+    threads, but no thread is running while it fires.  A timer is not a
+    thread: it takes no lcore, charges no cycles and draws no RNG.  The
+    running thread's burst ends at the earliest deadline, and the extra
+    yield re-picks that same thread, so a timer whose callback only
+    observes leaves the schedule unchanged.  Timers still pending when
+    every thread has finished never fire.  Callable before {!run}, from a
+    thread body or from a timer. *)
+
 val run : t -> unit
 (** Run every registered thread to completion (or crash).  Exceptions other
     than {!Thread_crashed} escaping a thread body abort the run and are
@@ -88,16 +103,9 @@ val consume : t -> int -> unit
     one compare against the precomputed event-wheel horizon), and the
     thread only performs the scheduling effect — continuation capture,
     handler, re-pick — when yielding would actually transfer control:
-    another runnable lcore's clock is crossed, or the quantum expires on a
-    contended queue.  The resulting schedule is identical to yielding on
-    every charge. *)
-
-val sleep_until : t -> deadline:int -> unit
-(** [sleep_until t ~deadline] consumes exactly the cycles separating the
-    calling thread's clock from the absolute tick [deadline] (at least 1
-    cycle when the deadline has already passed) — the harness samplers'
-    timed-wait idiom, routed through the same event-wheel check as
-    {!consume}. *)
+    another runnable lcore's clock is crossed, the quantum expires on a
+    contended queue, or an {!at} timer falls due.  The resulting schedule
+    is identical to yielding on every charge. *)
 
 val current : t -> int
 (** Id of the running thread.  Only valid inside a thread body. *)
@@ -109,10 +117,12 @@ val global_time : t -> int
 (** Max over all logical-core clocks; total makespan after {!run}. *)
 
 val now_or_global : t -> int
-(** {!now} when called from inside a thread body, {!global_time} otherwise.
-    For passive instrumentation (the memory-lifecycle ledger) that stamps
-    events both during the run and during raw setup/teardown, where no
-    simulated thread is current and every core clock is still equal. *)
+(** {!now} when called from inside a thread body, the firing clock inside
+    an {!at} callback, {!global_time} otherwise.  For passive
+    instrumentation (the memory-lifecycle ledger, trace stamps in
+    preemption hooks) that stamps events both during the run and during
+    raw setup/teardown, where no simulated thread is current and every
+    core clock is still equal. *)
 
 val crash : t -> int -> unit
 (** [crash t tid] destroys thread [tid]: it is unwound with

@@ -42,7 +42,7 @@ val observe : t -> time:int -> tid:int -> progress:int -> backlog:int -> unit
 (** Feed one observation.  [progress] is a cumulative monotone counter of
     reclamation work (the scheme's freed count); [backlog] the current
     retired-but-unfreed population.  [tid] attributes the trace events
-    (the sampler thread). *)
+    (the sampler's trace track). *)
 
 type report = {
   incidents : incident list;  (** Oldest first; the last may be ongoing. *)

@@ -1,7 +1,8 @@
 (* Abort forensics: the who-doomed-whom ledger must attribute every doom
    and delivered abort without perturbing the run, and its books must
-   balance against the two independent records kept elsewhere — the Tsx
-   per-line conflict tally and the profiler's wasted-cycle account.
+   balance against the two independent records kept elsewhere — the
+   per-line conflict counts of the Tsx heatmap and the profiler's
+   wasted-cycle account.
 
    Four groups:
 
@@ -44,7 +45,7 @@ let test_disabled_singleton () =
   let t = Forensics.disabled in
   Alcotest.(check bool) "disabled" false (Forensics.enabled t);
   (* Every hook must be a no-op, not a crash. *)
-  Forensics.on_conflict_doom t ~victim:1 ~aborter:2 ~line:42;
+  Forensics.on_conflict_doom t ~victim:1 ~aborter:2;
   Forensics.on_capacity_doom t ~victim:1 ~aborter:2;
   Forensics.on_interrupt_doom t ~victim:1;
   Forensics.on_abort_delivered t ~tid:1 ~cause:Htm_stats.Conflict ~wasted:99;
@@ -58,11 +59,18 @@ let test_disabled_singleton () =
   Alcotest.(check int) "no timeline" 0 (Forensics.timeline_length t);
   Alcotest.(check (list pass)) "no segments" [] (Forensics.segments t)
 
+(* The Tsx conflict doom site: the matrix cell and the per-line count. *)
+let conflict_doom t heatmap ~victim ~aborter ~line =
+  Forensics.on_conflict_doom t ~victim ~aborter;
+  Heatmap.conflict heatmap line
+
 let test_matrices_and_lines () =
   let t = Forensics.create () in
-  Forensics.on_conflict_doom t ~victim:3 ~aborter:1 ~line:100;
-  Forensics.on_conflict_doom t ~victim:3 ~aborter:1 ~line:100;
-  Forensics.on_conflict_doom t ~victim:0 ~aborter:2 ~line:200;
+  (* Disabled, as in an unprofiled run: conflicts are counted anyway. *)
+  let heatmap = Heatmap.create () in
+  conflict_doom t heatmap ~victim:3 ~aborter:1 ~line:100;
+  conflict_doom t heatmap ~victim:3 ~aborter:1 ~line:100;
+  conflict_doom t heatmap ~victim:0 ~aborter:2 ~line:200;
   Forensics.on_capacity_doom t ~victim:5 ~aborter:5;
   Forensics.on_interrupt_doom t ~victim:4;
   Alcotest.(check int) "conflict dooms" 3 (Forensics.conflict_dooms t);
@@ -75,12 +83,10 @@ let test_matrices_and_lines () =
     "conflict matrix, victim-major ascending"
     [ (0, 2, 1); (3, 1, 2) ]
     (List.rev !pairs);
-  let lines = ref [] in
-  Forensics.iter_doomed_lines t (fun ~line n -> lines := (line, n) :: !lines);
   Alcotest.(check (list (pair int int)))
     "doomed lines ascending"
     [ (100, 2); (200, 1) ]
-    (List.rev !lines)
+    (Heatmap.conflict_lines heatmap)
 
 let test_wasted_buckets () =
   let t = Forensics.create () in
@@ -152,24 +158,29 @@ let test_timeline_capacity () =
 
 let test_cross_check_tally () =
   let t = Forensics.create () in
-  Forensics.on_conflict_doom t ~victim:1 ~aborter:0 ~line:7;
-  Forensics.on_conflict_doom t ~victim:2 ~aborter:0 ~line:7;
-  Forensics.on_conflict_doom t ~victim:1 ~aborter:2 ~line:9;
-  let tally = Hashtbl.create 8 in
-  Hashtbl.replace tally 7 2;
-  Hashtbl.replace tally 9 1;
+  Forensics.on_conflict_doom t ~victim:1 ~aborter:0;
+  Forensics.on_conflict_doom t ~victim:2 ~aborter:0;
+  Forensics.on_conflict_doom t ~victim:1 ~aborter:2;
+  (* A per-line store holding [(line, dooms)]. *)
+  let tally lines =
+    let h = Heatmap.create () in
+    List.iter
+      (fun (line, n) ->
+        for _ = 1 to n do
+          Heatmap.conflict h line
+        done)
+      lines;
+    h
+  in
   Alcotest.(check (option string))
     "agreeing tally passes" None
-    (Forensics.cross_check_tally t tally);
-  Hashtbl.replace tally 9 5;
+    (Forensics.cross_check_tally t (tally [ (7, 2); (9, 1) ]));
   Alcotest.(check bool)
     "seeded count divergence caught" true
-    (Forensics.cross_check_tally t tally <> None);
-  Hashtbl.replace tally 9 1;
-  Hashtbl.replace tally 11 1;
+    (Forensics.cross_check_tally t (tally [ (7, 2); (9, 5) ]) <> None);
   Alcotest.(check bool)
     "extra tally line caught" true
-    (Forensics.cross_check_tally t tally <> None)
+    (Forensics.cross_check_tally t (tally [ (7, 2); (9, 1); (11, 1) ]) <> None)
 
 (* ------------------------------------------------------------------ *)
 (* Predictor decision notifications                                    *)

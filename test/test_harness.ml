@@ -249,8 +249,11 @@ let test_memory_profile_smoke () =
   let rows = Figures.memory_profile ~speed:Figures.Quick () in
   List.iter
     (fun (scheme, (r : Experiment.result)) ->
-      match (r.Experiment.live_samples, List.rev r.Experiment.live_samples) with
-      | (_, first) :: _, (_, last) :: _ -> (
+      let live =
+        List.map (fun (s : Metrics.sample) -> s.live_objects) r.metrics
+      in
+      match (live, List.rev live) with
+      | first :: _, last :: _ -> (
           match scheme with
           | Experiment.Epoch ->
               checkb "epoch leaks after crash" true (last > first + 20)
@@ -348,37 +351,65 @@ let test_registry_canonical_names () =
             (e.display ^ " canonical name") G.name (List.hd e.names))
     Experiment.schemes
 
-(* The limit leaves room for every harness thread a run may add: crash
-   injector, live-object, metrics and lifecycle samplers, with the
-   per-thread profiler tables on. *)
+(* One figure-name table serves both CLIs: names are unique, "all" selects
+   every figure in table order, and an unknown name is reported instead of
+   silently running nothing. *)
+let test_figure_names () =
+  let names = Figures.names in
+  checki "names unique" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  checkb "ablations listed" true (List.mem "ablations" names);
+  (match Figures.select [ "all" ] with
+  | Ok entries ->
+      Alcotest.(check (list string)) "all = table" names (List.map fst entries)
+  | Error _ -> Alcotest.fail "\"all\" rejected");
+  (match Figures.select [ "memory"; "fig1-list" ] with
+  | Ok entries ->
+      Alcotest.(check (list string))
+        "table order" [ "fig1-list"; "memory" ] (List.map fst entries)
+  | Error _ -> Alcotest.fail "valid names rejected");
+  match Figures.select [ "fig1-list"; "nosuch-fig" ] with
+  | Ok _ -> Alcotest.fail "an unknown figure name was accepted"
+  | Error unknown ->
+      Alcotest.(check (list string)) "unknown reported" [ "nosuch-fig" ] unknown
+
+(* The crash injector and the samplers are scheduler timers, so every
+   machine thread slot can hold a worker — with every observer on (trace,
+   profile, forensics, lifecycle, metrics) and a crash. *)
+let max_threads = St_sim.Topology.max_threads
+
 let limit_cfg threads =
   {
     Experiment.default_config with
     threads;
     duration = 20_000;
     crash_tids = [ 0 ];
+    trace = Some (St_sim.Trace.create ~capacity:1024 ~enabled:true ());
     lifecycle = true;
     profile = true;
-    sample_live = 5_000;
+    forensics = true;
     metrics_interval = 5_000;
   }
 
 let test_threads_at_limit () =
   List.iter
     (fun scheme ->
-      let r =
-        Experiment.run { (limit_cfg Experiment.max_threads) with scheme }
-      in
-      checki "one op count per worker" Experiment.max_threads
+      let r = Experiment.run { (limit_cfg max_threads) with scheme } in
+      checki "one op count per worker" max_threads
         (Array.length r.ops_per_thread);
+      (match r.profile with
+      | Some p ->
+          checki "one scheduler thread per worker" max_threads
+            (List.length p.St_sim.Profile.threads)
+      | None -> Alcotest.fail "profiled run returned no profile");
       checki "no violations" 0 r.violations)
     [ Experiment.stacktrack_default; Experiment.Debra_plus ]
 
 let test_threads_above_limit () =
-  match Experiment.run (limit_cfg (Experiment.max_threads + 1)) with
+  match Experiment.run (limit_cfg (max_threads + 1)) with
   | _ -> Alcotest.fail "a run above the thread limit was accepted"
   | exception Invalid_argument msg ->
-      let limit = string_of_int Experiment.max_threads in
+      let limit = string_of_int max_threads in
       let rec mentions i =
         i + String.length limit <= String.length msg
         && (String.sub msg i (String.length limit) = limit || mentions (i + 1))
@@ -425,6 +456,7 @@ let () =
           Alcotest.test_case "names parse back" `Quick test_registry_names_parse;
           Alcotest.test_case "canonical = Guard.S.name" `Quick
             test_registry_canonical_names;
+          Alcotest.test_case "figure names" `Quick test_figure_names;
         ] );
       ( "figures",
         [

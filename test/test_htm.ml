@@ -401,10 +401,10 @@ let test_txn_cas_coherence_cost () =
   Sched.run sched
 
 let test_two_managers_independent_tallies () =
-  (* Two coexisting managers keep independent conflict tallies: the tally
-     used to be a module-level global that [Tsx.create] reset, so a second
-     manager in the same process (a parallel sweep runner) wiped and then
-     polluted the first one's counts. *)
+  (* Two coexisting managers keep independent per-line conflict counts: the
+     tally used to be a module-level global that [Tsx.create] reset, so a
+     second manager in the same process (a parallel sweep runner) wiped and
+     then polluted the first one's counts. *)
   let conflict_on (sched, heap, tsx) =
     let addr = Heap.alloc heap ~tid:0 ~size:2 in
     let _ =
@@ -427,7 +427,10 @@ let test_two_managers_independent_tallies () =
   let ((_, _, tsx1) as w1) = world () in
   conflict_on w1;
   let dooms tsx =
-    Hashtbl.fold (fun _ n acc -> acc + n) (Tsx.conflict_tally tsx) 0
+    List.fold_left
+      (fun acc (_, n) -> acc + n)
+      0
+      (Heatmap.conflict_lines (Tsx.heatmap tsx))
   in
   checki "first manager tallied the doom" 1 (dooms tsx1);
   (* Creating a second manager must not reset the first one's tally. *)

@@ -1,8 +1,9 @@
 (* Tests for the observability layer: typed trace capture through a full
    simulated run, Chrome trace-event export (golden determinism: the
    simulator is deterministic, so identical seeds must produce
-   byte-identical exports), the JSON result encoder, and the virtual-time
-   metrics sampler. *)
+   byte-identical exports), the JSON result encoder, the virtual-time
+   metrics sampler, and schedule invisibility: no combination of observers
+   changes the simulated result. *)
 
 open St_harness
 open St_sim
@@ -139,6 +140,90 @@ let test_metrics_off_by_default () =
   checki "no samples when off" 0 (List.length r.Experiment.metrics)
 
 (* ------------------------------------------------------------------ *)
+(* Schedule invisibility                                               *)
+(* ------------------------------------------------------------------ *)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* The result JSON with every observer section removed: what the same
+   configuration prints with no observer on. *)
+let core (r : Experiment.result) =
+  Result_json.to_string
+    {
+      r with
+      cfg = { r.cfg with metrics_interval = 0; trace = None };
+      metrics = [];
+      profile = None;
+      heatmap = None;
+      lifecycle = None;
+      forensics = None;
+    }
+
+(* Every subset of {trace, profile, forensics, lifecycle, metrics} yields
+   the unflagged run's core.  The samplers and the crash injector are
+   scheduler timers, so this holds for the crashed run too. *)
+let check_invisible name cfg =
+  let unflagged = Experiment.run cfg in
+  for mask = 1 to 31 do
+    let on bit = mask land (1 lsl bit) <> 0 in
+    let r =
+      Experiment.run
+        {
+          cfg with
+          trace =
+            (if on 0 then Some (Trace.create ~capacity:4096 ~enabled:true ())
+             else None);
+          profile = on 1;
+          forensics = on 2;
+          lifecycle = on 3;
+          metrics_interval = (if on 4 then 30_000 else 0);
+        }
+    in
+    Alcotest.(check string)
+      (Printf.sprintf "%s, observer mask %d" name mask)
+      (core unflagged) (core r)
+  done
+
+(* Eight threads fill the eight lcores, so a harness thread would have to
+   share one with a worker. *)
+let invisible_cfg =
+  {
+    Experiment.default_config with
+    scheme = Experiment.stacktrack_default;
+    threads = 8;
+    duration = 160_000;
+    key_range = 256;
+    init_size = 128;
+    mutation_pct = 40;
+  }
+
+let test_invisible_stacktrack () = check_invisible "stacktrack" invisible_cfg
+
+let test_invisible_crash () =
+  check_invisible "debra+ crash"
+    { invisible_cfg with scheme = Experiment.Debra_plus; crash_tids = [ 0 ] }
+
+(* The committed lifecycle golden is the plain StackTrack golden plus its
+   reclaim_lifecycle section. *)
+let test_lifecycle_golden_core () =
+  let plain = read_file "goldens/identity_list_st.json" in
+  let flagged = read_file "goldens/identity_list_st_lifecycle.json" in
+  let section = ",\"reclaim_lifecycle\":" in
+  let rec find i =
+    if i + String.length section > String.length flagged then
+      Alcotest.fail "lifecycle golden has no reclaim_lifecycle section"
+    else if String.sub flagged i (String.length section) = section then i
+    else find (i + 1)
+  in
+  Alcotest.(check string)
+    "identity_list_st_lifecycle core = identity_list_st" plain
+    (String.sub flagged 0 (find 0) ^ "}\n")
+
+(* ------------------------------------------------------------------ *)
 (* JSON writer                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -174,6 +259,15 @@ let () =
         [
           Alcotest.test_case "sampled series" `Quick test_metrics_sampled;
           Alcotest.test_case "off by default" `Quick test_metrics_off_by_default;
+        ] );
+      ( "invisibility",
+        [
+          Alcotest.test_case "every observer subset, stacktrack" `Quick
+            test_invisible_stacktrack;
+          Alcotest.test_case "every observer subset, crashed debra+" `Quick
+            test_invisible_crash;
+          Alcotest.test_case "lifecycle golden core" `Quick
+            test_lifecycle_golden_core;
         ] );
       ("json", [ Alcotest.test_case "escaping" `Quick test_json_escaping ]);
     ]

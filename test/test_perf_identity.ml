@@ -275,9 +275,9 @@ let identity_cases =
       identity_cfg Experiment.Skiplist_s Experiment.Hazards 8 );
     ( "goldens/identity_list_refcount.json",
       identity_cfg Experiment.List_s Experiment.Refcount_s 12 );
-    (* The lifecycle ledger rides the same run: its samplers and per-object
-       event stream are schedule-sensitive, so this golden also pins the
-       sampler timed-wait path ([Sched.sleep_until]). *)
+    (* The lifecycle ledger rides the same run: its per-object event
+       stream and its sampler timer ([Sched.at]) are pinned here, and the
+       result outside [reclaim_lifecycle] is identity_list_st.json's. *)
     ( "goldens/identity_list_st_lifecycle.json",
       {
         (identity_cfg Experiment.List_s Experiment.stacktrack_default 12) with

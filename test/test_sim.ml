@@ -243,6 +243,52 @@ let test_sched_crash_fires_preempt_hook () =
   Sched.run s;
   checki "hook saw victim" victim !fired
 
+(* One-shot timers fire in deadline order (arming order on ties) at the
+   first pick whose clock reaches the deadline, and cost the thread
+   nothing: no extra thread, no cycles, no context switch. *)
+let test_sched_timers () =
+  let s = mk () in
+  let fired = ref [] in
+  let note name clock = fired := (name, clock) :: !fired in
+  let tid =
+    Sched.add_thread s (fun _ ->
+        for _ = 1 to 100 do
+          Sched.consume s 10
+        done)
+  in
+  Sched.at s ~time:250 (note "a");
+  Sched.at s ~time:250 (note "b");
+  Sched.at s ~time:95 (fun clock ->
+      note "c" clock;
+      (* Already due: fires in the same pass. *)
+      Sched.at s ~time:0 (note "d"));
+  Sched.at s ~time:5_000 (note "never");
+  Sched.run s;
+  Alcotest.(check (list (pair string int)))
+    "deadline order, firing clocks"
+    [ ("c", 100); ("d", 100); ("a", 250); ("b", 250) ]
+    (List.rev !fired);
+  checki "no timer thread" 1 (Sched.n_threads s);
+  checki "no context switch" 0 (Sched.context_switches s);
+  checki "thread charged only its own work" 1000 (Sched.thread_consumed s tid);
+  checki "makespan" 1000 (Sched.global_time s)
+
+let test_sched_timer_crash () =
+  let s = mk () in
+  let body _ =
+    for _ = 1 to 100 do
+      Sched.consume s 10
+    done
+  in
+  let survivor = Sched.add_thread s body in
+  let victim = Sched.add_thread s body in
+  Sched.at s ~time:500 (fun _ -> Sched.crash s victim);
+  Sched.run s;
+  checkb "victim crashed" true (Sched.crashed s victim);
+  checki "victim stopped at the deadline" 500 (Sched.thread_consumed s victim);
+  checkb "survivor finished" true (Sched.finished s survivor);
+  checki "survivor ran to completion" 1000 (Sched.thread_consumed s survivor)
+
 let test_sched_finished () =
   let s = mk () in
   let tid = Sched.add_thread s (fun _ -> Sched.consume s 1) in
@@ -438,5 +484,7 @@ let () =
             test_sched_many_threads_all_finish;
           Alcotest.test_case "zero-cost consume" `Quick
             test_sched_zero_cost_consume;
+          Alcotest.test_case "timers" `Quick test_sched_timers;
+          Alcotest.test_case "timer crash" `Quick test_sched_timer_crash;
         ] );
     ]
