@@ -269,10 +269,25 @@ let identity_cases =
     ("goldens/identity_hash_debra.json", hash_smr_cfg Experiment.Debra);
     ( "goldens/identity_hash_debra_plus.json",
       hash_smr_cfg Experiment.Debra_plus );
+    (* StackTrack on the same hash shape: the scheme the million-object
+       hash workload runs, over the raw-populated bucket chains. *)
+    ( "goldens/identity_hash_st.json",
+      hash_smr_cfg Experiment.stacktrack_default );
     ( "goldens/identity_skiplist_st.json",
       identity_cfg Experiment.Skiplist_s Experiment.stacktrack_default 8 );
     ( "goldens/identity_skiplist_hazards.json",
       identity_cfg Experiment.Skiplist_s Experiment.Hazards 8 );
+    (* 80 threads with a short quantum, so every tid runs transactions,
+       on a 256-key list contended enough that tids 63-79 doom and are
+       doomed through the second bit-word of Tsx's per-line reader/writer
+       bitsets. *)
+    ( "goldens/identity_list_st80.json",
+      {
+        (identity_cfg Experiment.List_s Experiment.stacktrack_default 80) with
+        Experiment.quantum = 10_000;
+        key_range = 256;
+        init_size = 128;
+      } );
     ( "goldens/identity_list_refcount.json",
       identity_cfg Experiment.List_s Experiment.Refcount_s 12 );
     (* The lifecycle ledger rides the same run: its per-object event
