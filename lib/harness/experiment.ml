@@ -465,7 +465,7 @@ let run cfg =
         let note_link = inst.note_link in
         (* The one set-op worker path: each set structure supplies only
            its creation, raw population and final count. *)
-        let run_sets contains insert delete to_list =
+        let run_sets contains insert delete size =
           let gens = Array.init cfg.threads set_gen in
           run_workers
             (worker_loop ~sched ~duration:cfg.duration ~ops_per_thread ~latency
@@ -477,7 +477,7 @@ let run cfg =
                  | St_workload.Workload.Insert k -> ignore (insert th k)
                  | St_workload.Workload.Delete k -> ignore (delete th k))
                ~quiesce:G.quiesce);
-          List.length (to_list ())
+          size ()
         in
         match cfg.structure with
         | List_s ->
@@ -486,21 +486,21 @@ let run cfg =
             let t = L.create_raw heap in
             L.populate_raw heap t ~keys:init_keys ~note_link;
             run_sets (S.contains t) (S.insert t) (S.delete t) (fun () ->
-                L.to_list_raw heap t)
+                List.length (L.to_list_raw heap t))
         | Hash_s ->
             let module H = St_dslib.Hash_table in
             let module S = H.Make (G) in
             let t = H.create_raw heap ~n_buckets:cfg.n_buckets in
             H.populate_raw heap t ~keys:init_keys ~note_link;
             run_sets (S.contains t) (S.insert t) (S.delete t) (fun () ->
-                H.to_list_raw heap t)
+                H.length_raw heap t)
         | Skiplist_s ->
             let module K = St_dslib.Skiplist in
             let module S = K.Make (G) in
             let t = K.create_raw heap in
             K.populate_raw heap t ~keys:init_keys ~rng:setup_rng ~note_link;
             run_sets (S.contains t) (S.insert t) (S.delete t) (fun () ->
-                K.to_list_raw heap t)
+                List.length (K.to_list_raw heap t))
         | Queue_s ->
             let module S = St_dslib.Ms_queue.Make (G) in
             let t = St_dslib.Ms_queue.create_raw heap in

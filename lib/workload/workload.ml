@@ -89,17 +89,19 @@ let next_queue_op g =
   else Peek
 
 (* Initial contents: [size] distinct keys drawn uniformly from the range
-   (deterministic in the rng). *)
+   (deterministic in the rng).  Drawn keys are marked in a bitmap over the
+   range: at 10^6 keys a hash table of them cost most of the draw. *)
 let initial_keys ~rng ~key_range ~size =
   assert (size <= key_range);
-  let seen = Hashtbl.create size in
+  let seen = Bytes.make ((key_range + 7) / 8) '\000' in
   let rec draw acc n =
     if n = 0 then acc
     else
       let k = Rng.int rng key_range in
-      if Hashtbl.mem seen k then draw acc n
+      let byte = Bytes.get_uint8 seen (k lsr 3) and bit = 1 lsl (k land 7) in
+      if byte land bit <> 0 then draw acc n
       else begin
-        Hashtbl.add seen k ();
+        Bytes.set_uint8 seen (k lsr 3) (byte lor bit);
         draw (k :: acc) (n - 1)
       end
   in
