@@ -632,6 +632,70 @@ let atomicity_check backend () =
   checki "value = commits" !commits values.(0);
   checki "180 increments total" 180 !commits
 
+(* Line-table footprint: the line-state table backs one word per line of
+   every touched chunk; each conflict bitset backs one more per bit-word
+   in use, and a bit-word comes into use when a transaction of a tid in it
+   first starts. *)
+let chunk_lines = 4096
+
+let test_line_table_words () =
+  let sched, heap, tsx = world () in
+  let span = chunk_lines lsl (Tsx.cache tsx).Cache.line_shift in
+  let big = Heap.alloc heap ~tid:0 ~size:(3 * span) in
+  let cold = Heap.alloc heap ~tid:0 ~size:(2 * span) in
+  let chunk a = Cache.line_of (Tsx.cache tsx) a / chunk_lines in
+  let chunks addrs = List.length (List.sort_uniq compare (List.map chunk addrs)) in
+  let a0 = big and a1 = big + span and a2 = big + (2 * span) in
+  let _ =
+    Sched.add_thread sched (fun _ ->
+        ignore (Tsx.nt_read tsx a0);
+        checki "no transaction yet: state only" (chunk_lines * chunks [ a0 ])
+          (Tsx.line_table_words tsx);
+        Tsx.start tsx;
+        ignore (Tsx.read tsx a1);
+        Tsx.commit tsx;
+        checki "bit-word 0 backed in both chunks"
+          (3 * chunk_lines * chunks [ a0; a1 ])
+          (Tsx.line_table_words tsx);
+        ignore (Tsx.nt_read tsx a2);
+        checki "a later chunk gets bit-word 0"
+          (3 * chunk_lines * chunks [ a0; a1; a2 ])
+          (Tsx.line_table_words tsx);
+        (* [cold] spans chunks no access touched: freeing it runs the doom
+           walk over every one of its lines. *)
+        Tsx.free tsx cold;
+        let cold_chunks =
+          List.init
+            (chunk (cold + (2 * span) - 1) - chunk cold + 1)
+            (fun i -> (chunk cold + i) * span)
+        in
+        checki "free backs every chunk the object spans"
+          (3 * chunk_lines * chunks ([ a0; a1; a2 ] @ cold_chunks))
+          (Tsx.line_table_words tsx))
+  in
+  Sched.run sched
+
+(* Tid 70 is in bit-word 1: its first transaction backs bit-words 0 and 1
+   (the backed words are a prefix) in the chunks already touched. *)
+let test_line_table_words_high_tid () =
+  let sched, heap, tsx = world () in
+  let addr = Heap.alloc heap ~tid:0 ~size:4 in
+  for _ = 0 to 70 do
+    ignore
+      (Sched.add_thread sched (fun tid ->
+           ignore (Tsx.nt_read tsx addr);
+           if tid = 70 then begin
+             checki "before: state only" chunk_lines (Tsx.line_table_words tsx);
+             Tsx.start tsx;
+             Tsx.write tsx addr 1;
+             Tsx.commit tsx;
+             checki "two bit-words backed" (5 * chunk_lines)
+               (Tsx.line_table_words tsx)
+           end))
+  done;
+  Sched.run sched;
+  checki "published" 1 (Heap.peek heap addr)
+
 let () =
   Alcotest.run "st_htm"
     [
@@ -684,6 +748,13 @@ let () =
             test_stm_commit_validation;
           Alcotest.test_case "survives preemption" `Quick
             test_stm_no_interrupt_abort;
+        ] );
+      ( "line tables",
+        [
+          Alcotest.test_case "footprint per bit-word" `Quick
+            test_line_table_words;
+          Alcotest.test_case "high tid backs a second word" `Quick
+            test_line_table_words_high_tid;
         ] );
       ( "atomicity",
         [
