@@ -373,6 +373,151 @@ let test_sched_zero_cost_consume () =
   Sched.run s;
   checki "no time passed" 0 (Sched.global_time s)
 
+(* The suspended-thread state machine under {!Sched.signal} and
+   {!Sched.crash}.  Two lcores: the victim is thread 0 on lcore 0, the
+   sender thread 1 on lcore 1.  The victim charges 10 cycles a step, the
+   sender 55 before acting, so the victim is suspended inside its sixth
+   charge (clock 60, five steps done) when the sender acts. *)
+type victim = {
+  mutable steps : int;
+  mutable handled : int;
+  mutable handler_ran_as : int; (* [Sched.current] inside the handler *)
+  mutable interrupted : bool;
+  mutable completed : bool;
+}
+
+let run_victim act =
+  let s = mk ~cores:2 ~smt:1 () in
+  let v =
+    { steps = 0; handled = 0; handler_ran_as = -1; interrupted = false;
+      completed = false }
+  in
+  let victim =
+    Sched.add_thread s (fun tid ->
+        Sched.set_signal_handler s ~tid (fun () ->
+            v.handled <- v.handled + 1;
+            v.handler_ran_as <- Sched.current s);
+        match
+          for _ = 1 to 100 do
+            Sched.consume s 10;
+            v.steps <- v.steps + 1
+          done
+        with
+        | () -> v.completed <- true
+        | exception Sched.Signal_interrupt -> v.interrupted <- true)
+  in
+  let sender =
+    Sched.add_thread s (fun _ ->
+        Sched.consume s 55;
+        act s victim v)
+  in
+  Sched.run s;
+  (s, victim, sender, v)
+
+let test_sched_signal_suspended () =
+  let handled_at_delivery = ref (-1) in
+  let s, victim, sender, v =
+    run_victim (fun s victim v ->
+        Sched.signal s victim;
+        handled_at_delivery := v.handled)
+  in
+  checki "handler ran at delivery" 1 !handled_at_delivery;
+  checki "handler ran in the sender's context" sender v.handler_ran_as;
+  checki "handler ran once" 1 v.handled;
+  checkb "victim unwound with Signal_interrupt" true v.interrupted;
+  checkb "interrupted operation never completed" false v.completed;
+  checki "suspended inside its sixth charge" 5 v.steps;
+  checkb "victim finished" true (Sched.finished s victim);
+  checkb "victim not crashed" false (Sched.crashed s victim);
+  checki "victim charged up to the interrupt" 60 (Sched.thread_consumed s victim)
+
+let test_sched_signal_then_crash () =
+  let s, victim, _, v =
+    run_victim (fun s victim _ ->
+        Sched.signal s victim;
+        Sched.crash s victim)
+  in
+  checki "handler ran once" 1 v.handled;
+  checkb "victim crashed" true (Sched.crashed s victim);
+  checkb "crash wins: never resumed" false v.interrupted;
+  checkb "never completed" false v.completed;
+  checki "no step after the signal" 5 v.steps
+
+let test_sched_crash_then_signal () =
+  let s, victim, _, v =
+    run_victim (fun s victim _ ->
+        Sched.crash s victim;
+        Sched.signal s victim)
+  in
+  checki "handler ran once" 1 v.handled;
+  checkb "victim crashed" true (Sched.crashed s victim);
+  checkb "never resumed" false v.interrupted;
+  checkb "never completed" false v.completed;
+  checki "no step after the crash" 5 v.steps
+
+let test_sched_signal_not_started () =
+  (* Thread 0 (lcore 0) runs first and signals thread 1 (lcore 1) before
+     either has charged a cycle, so the victim has not started. *)
+  let s = mk ~cores:2 ~smt:1 () in
+  let handled = ref 0 and steps = ref 0 and interrupted = ref false in
+  let _ =
+    Sched.add_thread s (fun _ ->
+        Sched.set_signal_handler s ~tid:1 (fun () -> incr handled);
+        Sched.signal s 1;
+        Sched.consume s 10)
+  in
+  let victim =
+    Sched.add_thread s (fun _ ->
+        try
+          for _ = 1 to 3 do
+            Sched.consume s 10;
+            incr steps
+          done
+        with Sched.Signal_interrupt -> interrupted := true)
+  in
+  Sched.run s;
+  checki "handler ran" 1 !handled;
+  checkb "body not interrupted" false !interrupted;
+  checki "body ran to the end" 3 !steps;
+  checkb "victim finished" true (Sched.finished s victim)
+
+let test_sched_self_signal () =
+  let s = mk () in
+  let handled = ref 0 and after = ref false and caught = ref false in
+  let tid =
+    Sched.add_thread s (fun tid ->
+        Sched.set_signal_handler s ~tid (fun () -> incr handled);
+        Sched.consume s 10;
+        match Sched.signal s tid with
+        | () -> after := true
+        | exception Sched.Signal_interrupt -> caught := true)
+  in
+  Sched.run s;
+  checki "handler ran" 1 !handled;
+  checkb "raised immediately" true !caught;
+  checkb "signal did not return" false !after;
+  checkb "thread finished" true (Sched.finished s tid)
+
+(* Once a thread has started, the scheduler must not keep its body
+   closure: whatever the body captured is garbage once the thread is done,
+   even while the [Sched.t] itself is still reachable. *)
+let[@inline never] add_capturing_thread s w =
+  let block = Bytes.make 64 'x' in
+  Weak.set w 0 (Some block);
+  ignore
+    (Sched.add_thread s (fun _ ->
+         Sched.consume s 1;
+         ignore (Sys.opaque_identity block)))
+
+let test_sched_drops_body () =
+  let s = mk () in
+  let w = Weak.create 1 in
+  add_capturing_thread s w;
+  Sched.run s;
+  Gc.full_major ();
+  checkb "captured block collected" false (Weak.check w 0);
+  checki "scheduler still reachable" 1 (Sched.n_threads (Sys.opaque_identity s))
+
 (* ------------------------------------------------------------------ *)
 (* Trace                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -486,5 +631,16 @@ let () =
             test_sched_zero_cost_consume;
           Alcotest.test_case "timers" `Quick test_sched_timers;
           Alcotest.test_case "timer crash" `Quick test_sched_timer_crash;
+          Alcotest.test_case "signal suspended" `Quick
+            test_sched_signal_suspended;
+          Alcotest.test_case "signal then crash" `Quick
+            test_sched_signal_then_crash;
+          Alcotest.test_case "crash then signal" `Quick
+            test_sched_crash_then_signal;
+          Alcotest.test_case "signal not started" `Quick
+            test_sched_signal_not_started;
+          Alcotest.test_case "self signal" `Quick test_sched_self_signal;
+          Alcotest.test_case "body dropped after start" `Quick
+            test_sched_drops_body;
         ] );
     ]
