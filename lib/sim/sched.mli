@@ -105,7 +105,11 @@ val consume : t -> int -> unit
     handler, re-pick — when yielding would actually transfer control:
     another runnable lcore's clock is crossed, the quantum expires on a
     contended queue, or an {!at} timer falls due.  The resulting schedule
-    is identical to yielding on every charge. *)
+    is identical to yielding on every charge.  A charge that does not
+    yield allocates nothing.  A yield allocates only what the runtime
+    allocates to capture the continuation (2 minor words on OCaml 5.1):
+    the scheduler's own bookkeeping is plain stores plus one
+    write-barrier store of that continuation. *)
 
 val current : t -> int
 (** Id of the running thread.  Only valid inside a thread body. *)
