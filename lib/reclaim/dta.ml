@@ -225,7 +225,8 @@ module Hooks = struct
   (* Like epoch, reclamation runs at the quiescent operation boundary so
      reclaimers never stall each other mid-operation. *)
   let retire th addr =
-    Guard.note_retire th.s.stats ~now:(Sched.now th.s.rt.Guard.sched) addr;
+    Guard.retire_noted th.s.rt th.s.stats ~tid:th.tid
+      ~pending:(Vec.length th.buffer + 1) addr;
     Vec.push th.buffer addr
 
   let on_end th =
