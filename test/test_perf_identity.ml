@@ -389,6 +389,10 @@ let smr_trace_cases =
     ("hash_debra", hash Experiment.Debra);
     ("hash_debra+", hash Experiment.Debra_plus);
     ("list_dta", list400k Experiment.Dta);
+    ("list_epoch_crash", list400k ~crash_tids:[ 0 ] Experiment.Epoch);
+    ("list_dta_crash", list400k ~crash_tids:[ 0 ] Experiment.Dta);
+    ("list_hazards_crash", list400k ~crash_tids:[ 0 ] Experiment.Hazards);
+    ("list_hazard-eras_crash", list400k ~crash_tids:[ 0 ] Experiment.Hazard_eras);
     ("list_debra_crash", list400k ~crash_tids:[ 0 ] Experiment.Debra);
     ("list_debra+_crash", list400k ~crash_tids:[ 0 ] Experiment.Debra_plus);
   ]
