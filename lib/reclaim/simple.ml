@@ -49,8 +49,6 @@ module Impl (H : HOOKS) = struct
       rng = Sched.thread_rng rt.Guard.sched tid;
     }
 
-  let hook_thread th = th.h
-
   (* No cleanup on exceptions: the only exception that crosses an operation
      is thread destruction (Sched.Thread_crashed), and a crashed thread must
      NOT look quiescent — its epoch timestamp stays odd and its hazards stay
@@ -81,18 +79,9 @@ module Impl (H : HOOKS) = struct
   let stats = H.stats
 end
 
-module Make (H : HOOKS) : sig
-  include Guard.S with type t = H.t
+module Make (H : HOOKS) : Guard.S with type t = H.t = Impl (H)
 
-  val hook_thread : thread -> H.thread
-end =
-  Impl (H)
-
-module Make_recoverable (H : HOOKS) : sig
-  include Guard.S with type t = H.t
-
-  val hook_thread : thread -> H.thread
-end = struct
+module Make_recoverable (H : HOOKS) : Guard.S with type t = H.t = struct
   module I = Impl (H)
   include I
 

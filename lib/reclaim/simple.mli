@@ -40,19 +40,9 @@ module type HOOKS = sig
       schemes (Hazard Eras) stamp the node's birth era on the way out. *)
 end
 
-module Make (H : HOOKS) : sig
-  include Guard.S with type t = H.t
+module Make (H : HOOKS) : Guard.S with type t = H.t
 
-  val hook_thread : thread -> H.thread
-  (** Unwrap the scheme-specific per-thread state (tests use this to poke
-      at hazard slots, epoch records, etc.). *)
-end
-
-module Make_recoverable (H : HOOKS) : sig
-  include Guard.S with type t = H.t
-
-  val hook_thread : thread -> H.thread
-end
+module Make_recoverable (H : HOOKS) : Guard.S with type t = H.t
 (** Like {!Make}, but [run_op] catches {!Sched.Signal_interrupt} — the
     unwind a neutralizing reclaimer (DEBRA+) delivers to a stalled thread —
     and restarts the operation from scratch: [on_begin] again, fresh frame
