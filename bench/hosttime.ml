@@ -1,9 +1,8 @@
 (* Host wall-clock harness.
 
-   The bechamel micro-benchmarks in [main.ml] track the cost of one tiny
-   experiment; this harness times *figure-sized* runs so that simulator
-   performance work (e.g. the O(max_threads) -> O(active) conflict-index
-   rewrite) is measured, not asserted.  Each target runs the same config the
+   This harness times *figure-sized* runs so that simulator performance
+   work (e.g. the O(max_threads) -> O(active) conflict-index rewrite) is
+   measured, not asserted.  Each target runs the same config the
    figure sweeps use, at one thread count, and prints the host milliseconds
    next to the simulated throughput, so a perf regression shows up as a
    bigger [host_ms] for identical simulated numbers.

@@ -1,7 +1,7 @@
 (* Command-line driver for single experiments and figure reproduction.
 
    stacktrack_bench run --structure list --scheme stacktrack --threads 8 ...
-   stacktrack_bench figures fig1-list fig3-aborts --quick *)
+   stacktrack_bench figures fig1-list fig3-aborts --quick --json-out r.json *)
 
 open Cmdliner
 open St_harness
@@ -459,7 +459,36 @@ let figures_cmd =
              (segments tracked, predictor limit changes, final limit \
              range) under the table.")
   in
-  let run names quick verbose jobs lifecycle forensics =
+  let json_out =
+    Arg.(
+      value & opt (some string) None
+      & info [ "json-out" ] ~docv:"FILE"
+          ~doc:
+            "Write every result the selected figures export (the fig1/fig2 \
+             and scale sweeps, the robustness and memory figures) to \
+             $(docv) as one JSON list, in run order.  The list is \
+             byte-identical for every --jobs value.")
+  in
+  let profile =
+    Arg.(
+      value & flag
+      & info [ "profile" ]
+          ~doc:
+            "Run the fig1/fig2 sweeps and the memory figure with the \
+             cycle-attribution profiler and contention heatmap on; adds \
+             profile/heatmap sections to --json-out.  The simulated runs \
+             are unchanged.")
+  in
+  let flame_out =
+    Arg.(
+      value & opt (some string) None
+      & info [ "flame-out" ] ~docv:"FILE"
+          ~doc:
+            "Write the profiles of the exported results as collapsed stacks \
+             to $(docv).  Implies --profile.")
+  in
+  let run names quick verbose jobs lifecycle forensics json_out profile
+      flame_out =
     if jobs < 0 then begin
       prerr_endline "stacktrack_bench: --jobs must be >= 0";
       exit 2
@@ -475,17 +504,31 @@ let figures_cmd =
           {
             Figures.verbose;
             jobs;
-            profile = false;
+            profile = profile || flame_out <> None;
             lifecycle;
             forensics;
             speed = (if quick then Figures.Quick else Figures.Full);
           }
         in
-        List.iter (fun (_, run) -> ignore (run opts)) figures
+        let results = List.concat_map (fun (_, run) -> run opts) figures in
+        (* Notes go to stderr, so stdout does not depend on the file names. *)
+        (match json_out with
+        | Some file ->
+            Json_out.write_file file
+              (Json_out.List (List.map Result_json.encode results));
+            Format.eprintf "json: %s (%d results)@." file (List.length results)
+        | None -> ());
+        match flame_out with
+        | Some file ->
+            Result_json.write_flame_file file results;
+            Format.eprintf "flame: %s (%d results)@." file (List.length results)
+        | None -> ()
   in
   Cmd.v
     (Cmd.info "figures" ~doc:"Reproduce the paper's figures.")
-    Term.(const run $ names $ quick $ verbose $ jobs $ lifecycle $ forensics)
+    Term.(
+      const run $ names $ quick $ verbose $ jobs $ lifecycle $ forensics
+      $ json_out $ profile $ flame_out)
 
 let main =
   Cmd.group

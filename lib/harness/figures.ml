@@ -922,7 +922,7 @@ let fig_scale ?(verbose = false) ?(jobs = 1) ~speed () =
   List.map (fun (live, rs) -> (live, List.map fst rs)) rows
 
 (* ------------------------------------------------------------------ *)
-(* Figure names: the one table both CLIs read                          *)
+(* Figure names: the one table [stacktrack_bench figures] reads        *)
 (* ------------------------------------------------------------------ *)
 
 type opts = {

@@ -7,9 +7,9 @@
     [jobs] value.  [jobs] defaults to [1] (in-domain, no parallelism);
     [0] means [Domain.recommended_domain_count ()].
 
-    The CLIs run figures by name through {!table}; the figure functions
-    exported below are the ones tests and external drivers call
-    directly. *)
+    [stacktrack_bench figures] runs figures by name through {!table}; the
+    figure functions exported below are the ones tests and external
+    drivers call directly. *)
 
 type speed = Quick | Full
 
@@ -76,11 +76,11 @@ type opts = {
   forensics : bool;  (** Passed to fig4-splits. *)
   speed : speed;
 }
-(** The options a CLI passes to every figure it runs; each figure reads the
+(** The options the CLI passes to every figure it runs; each figure reads the
     ones its function takes. *)
 
 val table : (string * (opts -> Experiment.result list)) list
-(** Every figure name both CLIs accept, with its runner, in run order.
+(** Every figure name the CLI accepts, with its runner, in run order.
     ["ablations"] runs the predictor, scan and contention ablations.  A
     runner prints its report and returns the full results it exports
     (the fig1/fig2 and scale sweeps, the robustness and memory figures;
