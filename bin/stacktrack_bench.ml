@@ -329,9 +329,9 @@ let run_cmd =
   let run structure scheme threads duration keys init mutations seed buckets
       forced_slow max_free hash_scan crash zipf json trace_out trace_capacity
       metrics_interval profile flame_out lifecycle forensics =
-    if threads < 1 || threads > St_sim.Topology.max_threads then begin
-      Printf.eprintf "stacktrack_bench: --threads %d: must be between 1 and %d\n"
-        threads St_sim.Topology.max_threads;
+    if trace_capacity < 1 then begin
+      Printf.eprintf "stacktrack_bench: --trace-capacity %d: must be at least 1\n"
+        trace_capacity;
       exit 2
     end;
     match scheme_of_string ~forced_slow ~max_free ~hash_scan scheme with
@@ -377,7 +377,12 @@ let run_cmd =
             forensics;
           }
         in
-        let r = Experiment.run cfg in
+        let r =
+          try Experiment.run cfg
+          with Invalid_argument msg ->
+            Printf.eprintf "stacktrack_bench: %s\n" msg;
+            exit 2
+        in
         if json then print_string (Result_json.to_string r ^ "\n")
         else print_result r;
         (match flame_out with
@@ -444,47 +449,45 @@ let figures_cmd =
       value & flag
       & info [ "lifecycle" ]
           ~doc:
-            "Run the thread sweeps (fig1/fig2) and the memory profile with \
-             the lifecycle ledger + watchdog on, appending per-scheme \
-             reclamation-health notes (limbo peaks, retire-to-free lag, \
-             stagnation incidents) to each report.")
+            "Run every figure with the lifecycle ledger + watchdog on.  The \
+             thread sweeps (fig1/fig2) and the memory figure append \
+             per-scheme reclamation-health notes (limbo peaks, \
+             retire-to-free lag, stagnation incidents) to their reports.")
   in
   let forensics =
     Arg.(
       value & flag
       & info [ "forensics" ]
           ~doc:
-            "Run the split-predictor figure (fig4-splits) with the \
-             abort-forensics ledger on, appending per-point notes \
-             (segments tracked, predictor limit changes, final limit \
-             range) under the table.")
+            "Run every figure with the abort-forensics ledger on.  The \
+             split-predictor figure (fig4-splits) appends per-point notes \
+             (segments tracked, predictor limit changes, final limit range) \
+             under its table.")
   in
   let json_out =
     Arg.(
       value & opt (some string) None
       & info [ "json-out" ] ~docv:"FILE"
           ~doc:
-            "Write every result the selected figures export (the fig1/fig2 \
-             and scale sweeps, the robustness and memory figures) to \
-             $(docv) as one JSON list, in run order.  The list is \
-             byte-identical for every --jobs value.")
+            "Write every result the selected figures ran to $(docv) as one \
+             JSON list, in run order.  The list is byte-identical for every \
+             --jobs value.")
   in
   let profile =
     Arg.(
       value & flag
       & info [ "profile" ]
           ~doc:
-            "Run the fig1/fig2 sweeps and the memory figure with the \
-             cycle-attribution profiler and contention heatmap on; adds \
-             profile/heatmap sections to --json-out.  The simulated runs \
-             are unchanged.")
+            "Run every figure with the cycle-attribution profiler and \
+             contention heatmap on; adds profile/heatmap sections to \
+             --json-out.  The simulated runs are unchanged.")
   in
   let flame_out =
     Arg.(
       value & opt (some string) None
       & info [ "flame-out" ] ~docv:"FILE"
           ~doc:
-            "Write the profiles of the exported results as collapsed stacks \
+            "Write the profiles of the figures' results as collapsed stacks \
              to $(docv).  Implies --profile.")
   in
   let run names quick verbose jobs lifecycle forensics json_out profile

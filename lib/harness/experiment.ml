@@ -296,10 +296,25 @@ let worker_loop ~sched ~duration ~ops_per_thread ~latency ~(mk : int -> 'th)
   quiesce th
 
 let run cfg =
+  let reject fmt = Printf.ksprintf invalid_arg ("Experiment.run: " ^^ fmt) in
   if cfg.threads < 1 || cfg.threads > Topology.max_threads then
-    invalid_arg
-      (Printf.sprintf "Experiment.run: threads = %d, must be between 1 and %d"
-         cfg.threads Topology.max_threads);
+    reject "threads = %d, must be between 1 and %d" cfg.threads
+      Topology.max_threads;
+  List.iter
+    (fun tid ->
+      if tid < 0 || tid >= cfg.threads then
+        reject "crash tid %d, must be between 0 and %d" tid (cfg.threads - 1))
+    cfg.crash_tids;
+  if cfg.key_range < 1 then
+    reject "key_range = %d, must be at least 1" cfg.key_range;
+  if cfg.init_size < 0 || cfg.init_size > cfg.key_range then
+    reject "init_size = %d, must be between 0 and key_range = %d"
+      cfg.init_size cfg.key_range;
+  if cfg.mutation_pct < 0 || cfg.mutation_pct > 100 then
+    reject "mutation_pct = %d, must be between 0 and 100" cfg.mutation_pct;
+  if cfg.structure = Hash_s && cfg.n_buckets < 1 then
+    reject "n_buckets = %d, must be at least 1 for the hash table"
+      cfg.n_buckets;
   let topo = Topology.create ~cores:cfg.cores ~smt:cfg.smt () in
   (* Forensics needs the pending-transaction pot to split wasted cycles per
      abort cause, so it turns the profiler's bookkeeping on internally;

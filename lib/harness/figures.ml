@@ -8,16 +8,13 @@
     HyperThreading knee at 4 threads, the preemption cliff at 8 — is
     preserved; see EXPERIMENTS.md for paper-vs-measured deltas.
 
-    Driver structure: every figure is split into three phases so that the
-    middle one can run on a {!Pool} of domains —
-    (1) *enumerate* a pure list of configurations (submission order is the
-        report order);
-    (2) *run* them through [run_many ~jobs] (each point is a deterministic
-        function of its seeded config; no state is shared between points);
-    (3) *report*: verbose per-run lines, violation asserts, tables and CSV
-        all consume the ordered result list after every point has finished.
-    With [jobs = 1] (the default) phase 2 runs in the calling domain, and
-    because phase 3 is order-preserving the printed artifacts are
+    Driver structure: every figure is one function [opts -> result list]
+    built on {!grid}, which runs a rows x columns grid of configurations on
+    a {!Pool} of [o.jobs] domains (each point is a deterministic function
+    of its seeded config; no state is shared between points), prints the
+    verbose run lines, asserts zero violations and regroups the results by
+    row.  Tables, notes and CSV are printed afterwards from those ordered
+    rows, so the printed artifacts and the returned results are
     byte-identical for any [jobs]. *)
 
 open Experiment
@@ -71,58 +68,61 @@ let hash_config speed =
     duration = duration speed;
   }
 
-(* Phase 2 of every figure: run the enumerated configs, in parallel when
-   [jobs > 1], collecting results in submission order. *)
-let run_many ?(jobs = 1) cfgs =
-  Pool.run ~jobs (List.map (fun cfg () -> Experiment.run cfg) cfgs)
+type opts = {
+  verbose : bool;
+  jobs : int;
+  profile : bool;
+  lifecycle : bool;
+  forensics : bool;
+  speed : speed;
+}
 
-(* Split an ordered result list back into consecutive per-row groups of
-   [k] (the inverse of the concat_map that enumerated them). *)
-let chunks k xs =
-  let rec take k acc = function
-    | rest when k = 0 -> (List.rev acc, rest)
-    | [] -> invalid_arg "Figures.chunks: list length not a multiple of k"
-    | x :: rest -> take (k - 1) (x :: acc) rest
+let grid (o : opts) ~rows ~cols cfg =
+  let run (c : config) () =
+    Experiment.run
+      {
+        c with
+        profile = c.profile || o.profile;
+        lifecycle = c.lifecycle || o.lifecycle;
+        forensics = c.forensics || o.forensics;
+      }
   in
-  let rec go acc = function
-    | [] -> List.rev acc
-    | xs ->
-        let row, rest = take k [] xs in
-        go (row :: acc) rest
+  let results =
+    Array.of_list
+      (Pool.run ~jobs:o.jobs
+         (List.concat_map
+            (fun x -> List.map (fun y -> run (cfg x y)) cols)
+            rows))
   in
-  go [] xs
+  Array.iter
+    (fun (r : result) ->
+      if o.verbose then Report.run_line r;
+      assert (r.violations = 0))
+    results;
+  let k = List.length cols in
+  List.mapi (fun i x -> (x, List.init k (fun j -> results.((i * k) + j)))) rows
 
-(* Throughput sweep over threads x schemes. *)
-let throughput_sweep ?(verbose = false) ?(jobs = 1) ?(profile = false)
-    ?(lifecycle = false) ~speed ~base ~schemes () =
-  let threads = thread_points speed in
-  let base : Experiment.config = { base with profile; lifecycle } in
-  let cfgs =
-    List.concat_map
-      (fun t -> List.map (fun scheme -> { base with scheme; threads = t }) schemes)
-      threads
-  in
-  let results = run_many ~jobs cfgs in
-  let rows = List.combine threads (chunks (List.length schemes) results) in
-  List.iter
-    (fun (_, rs) ->
-      List.iter
-        (fun r ->
-          if verbose then Report.run_line r;
-          assert (r.violations = 0))
-        rs)
-    rows;
-  rows
+let results_of rows = List.concat_map snd rows
 
-let print_throughput ~title ~subtitle ~schemes rows =
+(* One row of table values from each row of runs. *)
+let values f rows = List.map (fun (x, rs) -> (x, f rs)) rows
+
+let throughput (r : result) = r.throughput
+let name (r : result) = scheme_name r.cfg.scheme
+
+(* A titled table, followed by its CSV block (with the CSV's own column
+   names) when [csv] is given. *)
+let print_table ~title ~subtitle ?csv ?(x_label = "threads") ~columns rows =
   Report.header ~title ~subtitle;
-  let columns = List.map scheme_name schemes in
-  let table =
-    List.map (fun (t, rs) -> (t, List.map (fun r -> r.throughput) rs)) rows
-  in
-  Report.series ~x_label:"threads" ~columns table;
-  Report.csv ~name:(String.lowercase_ascii (String.map (function ' ' -> '_' | c -> c) title))
-    ~x_label:"threads" ~columns table
+  Report.series ~x_label ~columns rows;
+  Option.iter
+    (fun (name, columns) -> Report.csv ~name ~x_label ~columns rows)
+    csv
+
+(* A one-row grid: [base] under each scheme, results in scheme order. *)
+let per_scheme o base schemes =
+  results_of
+    (grid o ~rows:[ () ] ~cols:schemes (fun () scheme -> { base with scheme }))
 
 let set_schemes = [ Original; Hazards; Epoch; stacktrack_default ]
 
@@ -130,12 +130,12 @@ let set_schemes = [ Original; Hazards; Epoch; stacktrack_default ]
    line per scheme at the highest thread count: the limbo backlog/footprint
    and watchdog columns behind the per-scheme curves (EXPERIMENTS.md).
    Silent for unflagged runs, so figure output stays byte-identical. *)
-let lifecycle_notes ~schemes rows =
+let lifecycle_notes rows =
   match List.rev rows with
   | [] -> ()
   | (t, rs) :: _ ->
-      List.iter2
-        (fun scheme (r : Experiment.result) ->
+      List.iter
+        (fun (r : result) ->
           match r.lifecycle with
           | None -> ()
           | Some lc ->
@@ -143,27 +143,33 @@ let lifecycle_notes ~schemes rows =
               Report.note
                 "%-12s @%dthr limbo: peak=%d objs/%d words, end=%d | lag \
                  p50=%d p99=%d | watchdog: %d incident(s)%s"
-                (scheme_name scheme) t lc.peak_limbo_objects
-                lc.peak_limbo_words lc.limbo_at_end
+                (name r) t lc.peak_limbo_objects lc.peak_limbo_words
+                lc.limbo_at_end
                 (Latency.percentile lc.lag_hist 50.)
                 (Latency.percentile lc.lag_hist 99.)
                 wd.St_sim.Watchdog.n_incidents
                 (if wd.St_sim.Watchdog.ongoing then ", ongoing at exit" else ""))
-        schemes rs
+        rs
 
 (* ------------------------------------------------------------------ *)
 (* Figures 1 and 2: throughput vs threads, one per structure           *)
 (* ------------------------------------------------------------------ *)
 
-let throughput_figure ~title ~subtitle ~config ~schemes ?verbose ?jobs ?profile
-    ?lifecycle ~speed () =
+let throughput_figure ~title ~subtitle ~config ~schemes o =
   let rows =
-    throughput_sweep ?verbose ?jobs ?profile ?lifecycle ~speed
-      ~base:(config speed) ~schemes ()
+    grid o ~rows:(thread_points o.speed) ~cols:schemes (fun threads scheme ->
+        { (config o.speed) with scheme; threads })
   in
-  print_throughput ~title ~subtitle ~schemes rows;
-  lifecycle_notes ~schemes rows;
-  rows
+  let columns = List.map scheme_name schemes in
+  print_table ~title ~subtitle
+    ~csv:
+      ( String.lowercase_ascii
+          (String.map (function ' ' -> '_' | c -> c) title),
+        columns )
+    ~columns
+    (values (List.map throughput) rows);
+  lifecycle_notes rows;
+  results_of rows
 
 let fig1_list =
   throughput_figure ~title:"Figure 1a -- List: throughput vs threads"
@@ -187,225 +193,162 @@ let fig2_hash =
     ~config:hash_config ~schemes:set_schemes
 
 (* ------------------------------------------------------------------ *)
-(* Figure 3: HTM contention and capacity aborts (list, StackTrack)     *)
+(* Figures 3 and 4: HTM aborts and splits (list, StackTrack)           *)
 (* ------------------------------------------------------------------ *)
 
-let fig3_aborts ?(verbose = false) ?(jobs = 1) ~speed () =
-  let base = list_config speed in
-  let base = { base with duration = base.duration * 3 } in
-  let threads = thread_points speed in
-  let results =
-    run_many ~jobs
-      (List.map
-         (fun t -> { base with scheme = stacktrack_default; threads = t })
-         threads)
+(* Longer runs: the +-1-per-5-consecutive predictor (§5.3) converges
+   slowly ("able to achieve a good performance after 2 seconds"), so the
+   length trend needs volume. *)
+let stacktrack_list_sweep o =
+  let base = list_config o.speed in
+  grid o ~rows:(thread_points o.speed) ~cols:[ stacktrack_default ]
+    (fun threads scheme ->
+      { base with scheme; threads; duration = base.duration * 3 })
+
+let fig3_aborts o =
+  let rows = stacktrack_list_sweep o in
+  let aborts (r : result) =
+    let h = r.htm in
+    let segs = float_of_int (max 1 h.St_htm.Htm_stats.starts) in
+    let conflict = float_of_int h.conflict_aborts
+    and capacity = float_of_int h.capacity_aborts in
+    [ conflict; capacity; conflict /. segs *. 1000.; capacity /. segs *. 1000. ]
   in
-  let rows =
-    List.map2
-      (fun t r ->
-        if verbose then Report.run_line r;
-        let segs = float_of_int (max 1 r.htm.St_htm.Htm_stats.starts) in
-        ( t,
-          [
-            float_of_int r.htm.St_htm.Htm_stats.conflict_aborts;
-            float_of_int r.htm.St_htm.Htm_stats.capacity_aborts;
-            float_of_int r.htm.St_htm.Htm_stats.conflict_aborts /. segs *. 1000.;
-            float_of_int r.htm.St_htm.Htm_stats.capacity_aborts /. segs *. 1000.;
-          ] ))
-      threads results
-  in
-  Report.header
+  print_table
     ~title:"Figure 3 -- List: HTM contention and capacity aborts (StackTrack)"
-    ~subtitle:
-      "totals over the run, and per 1000 transactional segments started";
-  Report.series ~x_label:"threads"
+    ~subtitle:"totals over the run, and per 1000 transactional segments started"
+    ~csv:
+      ( "fig3_aborts",
+        [ "conflict"; "capacity"; "conf_per_kseg"; "cap_per_kseg" ] )
     ~columns:[ "conflict"; "capacity"; "conf/1k-seg"; "cap/1k-seg" ]
-    rows;
-  Report.csv ~name:"fig3_aborts" ~x_label:"threads"
-    ~columns:[ "conflict"; "capacity"; "conf_per_kseg"; "cap_per_kseg" ]
-    rows;
-  rows
+    (values (List.concat_map aborts) rows);
+  results_of rows
 
-(* ------------------------------------------------------------------ *)
-(* Figure 4: average splits per operation and split lengths (list)     *)
-(* ------------------------------------------------------------------ *)
-
-let fig4_splits ?(verbose = false) ?(jobs = 1) ?(forensics = false) ~speed () =
-  (* Longer runs: the +-1-per-5-consecutive predictor (§5.3) converges
-     slowly ("able to achieve a good performance after 2 seconds"), so the
-     length trend needs volume. *)
-  let base = list_config speed in
-  let base = { base with duration = base.duration * 3; forensics } in
-  let threads = thread_points speed in
-  let results =
-    run_many ~jobs
-      (List.map
-         (fun t -> { base with scheme = stacktrack_default; threads = t })
-         threads)
+let fig4_splits o =
+  let rows = stacktrack_list_sweep o in
+  let splits (r : result) =
+    match r.st with
+    | None -> [ Float.nan; Float.nan ]
+    | Some st ->
+        [
+          Stacktrack.Scheme_stats.avg_splits_per_op st;
+          Stacktrack.Scheme_stats.avg_segment_length st;
+        ]
   in
-  let rows =
-    List.map2
-      (fun t r ->
-        if verbose then Report.run_line r;
-        match r.st with
-        | None -> (t, [ Float.nan; Float.nan ])
-        | Some st ->
-            ( t,
-              [
-                Stacktrack.Scheme_stats.avg_splits_per_op st;
-                Stacktrack.Scheme_stats.avg_segment_length st;
-              ] ))
-      threads results
-  in
-  Report.header
+  print_table
     ~title:"Figure 4 -- List: HTM splits per operation and split lengths"
-    ~subtitle:"averages over committed segments (predictor-converged)";
-  Report.series ~x_label:"threads" ~columns:[ "splits/op"; "split-len" ] rows;
-  Report.csv ~name:"fig4_splits" ~x_label:"threads"
-    ~columns:[ "splits_per_op"; "split_len" ]
+    ~subtitle:"averages over committed segments (predictor-converged)"
+    ~csv:("fig4_splits", [ "splits_per_op"; "split_len" ])
+    ~columns:[ "splits/op"; "split-len" ]
+    (values (List.concat_map splits) rows);
+  List.iter
+    (fun (t, rs) ->
+      List.iter
+        (fun (r : result) ->
+          match r.forensics with
+          | None -> ()
+          | Some fx ->
+              let limits =
+                List.map
+                  (fun (l : Stacktrack.Engine.limit_row) ->
+                    l.Stacktrack.Engine.l_limit)
+                  fx.fx_limits
+              in
+              let lo = List.fold_left min max_int limits
+              and hi = List.fold_left max 0 limits in
+              Report.note
+                "forensics t=%d: %d segment(s) tracked, %d limit change(s), \
+                 final limits %s"
+                t fx.fx_segments_tracked
+                (List.length fx.fx_timeline)
+                (if limits = [] then "-" else Printf.sprintf "%d..%d" lo hi))
+        rs)
     rows;
-  if forensics then
-    List.iter2
-      (fun t (r : Experiment.result) ->
-        match r.forensics with
-        | None -> ()
-        | Some fx ->
-            let limits =
-              List.map
-                (fun (l : Stacktrack.Engine.limit_row) ->
-                  l.Stacktrack.Engine.l_limit)
-                fx.fx_limits
-            in
-            let lo = List.fold_left min max_int limits
-            and hi = List.fold_left max 0 limits in
-            Report.note
-              "forensics t=%d: %d segment(s) tracked, %d limit change(s), \
-               final limits %s"
-              t fx.fx_segments_tracked
-              (List.length fx.fx_timeline)
-              (if limits = [] then "-" else Printf.sprintf "%d..%d" lo hi))
-      threads results;
-  rows
+  results_of rows
 
 (* ------------------------------------------------------------------ *)
 (* Figure 5: slow-path fallback impact (skip list)                     *)
 (* ------------------------------------------------------------------ *)
 
-let fig5_slowpath ?(verbose = false) ?(jobs = 1) ~speed () =
-  let base = skiplist_config speed in
+let fig5_slowpath o =
   let threads =
-    match speed with Quick -> [ 1; 2; 4; 8; 12 ] | Full -> [ 1; 2; 4; 6; 8; 10; 12; 14 ]
+    match o.speed with
+    | Quick -> [ 1; 2; 4; 8; 12 ]
+    | Full -> [ 1; 2; 4; 6; 8; 10; 12; 14 ]
   in
-  let pcts = [ 0; 10; 50; 100 ] in
-  let cfgs =
-    List.concat_map
-      (fun t ->
-        List.map
-          (fun pct ->
-            let scheme =
-              Stacktrack_s
-                { Stacktrack.St_config.default with forced_slow_pct = pct }
-            in
-            { base with scheme; threads = t })
-          pcts)
-      threads
-  in
-  let per_thread = chunks (List.length pcts) (run_many ~jobs cfgs) in
   let rows =
-    List.map2
-      (fun t rs ->
-        if verbose then List.iter Report.run_line rs;
-        let base_thr = (List.hd rs).throughput in
-        ( t,
-          base_thr
-          :: List.map
-               (fun (r : Experiment.result) ->
-                 if base_thr = 0. then 0. else r.throughput /. base_thr *. 100.)
-               (List.tl rs) ))
-      threads per_thread
+    grid o ~rows:threads ~cols:[ 0; 10; 50; 100 ] (fun threads pct ->
+        {
+          (skiplist_config o.speed) with
+          threads;
+          scheme =
+            Stacktrack_s
+              { Stacktrack.St_config.default with forced_slow_pct = pct };
+        })
   in
-  Report.header
-    ~title:"Figure 5 -- Skip list: slow-path fallback impact"
+  let relative = function
+    | [] -> []
+    | (r0 : result) :: rs ->
+        let base = r0.throughput in
+        base
+        :: List.map
+             (fun (r : result) ->
+               if base = 0. then 0. else r.throughput /. base *. 100.)
+             rs
+  in
+  print_table ~title:"Figure 5 -- Skip list: slow-path fallback impact"
     ~subtitle:
-      "column 1: StackTrack-0 throughput (ops/Mcycle); others: % of slow-0";
-  Report.series ~x_label:"threads"
+      "column 1: StackTrack-0 throughput (ops/Mcycle); others: % of slow-0"
+    ~csv:
+      ( "fig5_slowpath",
+        [ "slow0_thr"; "slow10_pct"; "slow50_pct"; "slow100_pct" ] )
     ~columns:[ "slow-0"; "slow-10 %"; "slow-50 %"; "slow-100 %" ]
-    rows;
-  Report.csv ~name:"fig5_slowpath" ~x_label:"threads"
-    ~columns:[ "slow0_thr"; "slow10_pct"; "slow50_pct"; "slow100_pct" ]
-    rows;
-  rows
+    (values relative rows);
+  results_of rows
 
 (* ------------------------------------------------------------------ *)
 (* §6 "Scan behavior": scans, stack depth, amortization                *)
 (* ------------------------------------------------------------------ *)
 
-let scan_behavior ?(verbose = false) ?(jobs = 1) ~speed () =
-  let base = skiplist_config speed in
+let scan_behavior o =
   let threads =
-    match speed with Quick -> [ 1; 2; 4; 8; 16 ] | Full -> thread_points speed
+    match o.speed with
+    | Quick -> [ 1; 2; 4; 8; 16 ]
+    | Full -> thread_points o.speed
   in
-  let cfgs =
-    List.concat_map
-      (fun t ->
-        List.map
-          (fun max_free ->
-            let scheme =
-              Stacktrack_s { Stacktrack.St_config.default with max_free }
-            in
-            { base with scheme; threads = t })
-          [ 1; 32 ])
-      threads
-  in
-  let per_thread = chunks 2 (run_many ~jobs cfgs) in
   let rows =
-    List.map2
-      (fun t rs ->
-        let r1, r10 =
-          match rs with [ a; b ] -> (a, b) | _ -> assert false
-        in
-        if verbose then begin
-          Report.run_line r1;
-          Report.run_line r10
-        end;
-        let stat (r : Experiment.result) =
-          match r.st with
-          | None -> (Float.nan, Float.nan, Float.nan)
-          | Some st ->
-              ( float_of_int st.Stacktrack.Scheme_stats.scans,
-                (* Words inspected per scan pass: grows with the thread
-                   count, the paper's "average stack depth inspected
-                   increases linearly with the number of threads". *)
-                (if st.Stacktrack.Scheme_stats.scans = 0 then 0.
-                 else
-                   float_of_int st.Stacktrack.Scheme_stats.stack_words
-                   /. float_of_int st.Stacktrack.Scheme_stats.scans),
-                r.throughput )
-        in
-        let s1, d1, thr1 = stat r1 in
-        let s10, d10, thr10 = stat r10 in
-        ignore d1;
-        ignore s10;
-        ( t,
-          [
-            s1;
-            d10;
-            thr1;
-            thr10;
-            (if thr10 = 0. then 0. else (thr10 -. thr1) /. thr10 *. 100.);
-          ] ))
-      threads per_thread
+    grid o ~rows:threads ~cols:[ 1; 32 ] (fun threads max_free ->
+        {
+          (skiplist_config o.speed) with
+          threads;
+          scheme = Stacktrack_s { Stacktrack.St_config.default with max_free };
+        })
   in
-  Report.header
-    ~title:"Scan behavior (sec. 6) -- skip list"
+  let amortization = function
+    | [ (r1 : result); r32 ] ->
+        let s1 = Option.get r1.st and s32 = Option.get r32.st in
+        let thr1 = r1.throughput and thr32 = r32.throughput in
+        [
+          float_of_int s1.scans;
+          (* Words inspected per scan pass: grows with the thread count,
+             the paper's "average stack depth inspected increases linearly
+             with the number of threads". *)
+          (if s32.scans = 0 then 0.
+           else float_of_int s32.stack_words /. float_of_int s32.scans);
+          thr1;
+          thr32;
+          (if thr32 = 0. then 0. else (thr32 -. thr1) /. thr32 *. 100.);
+        ]
+    | _ -> assert false
+  in
+  print_table ~title:"Scan behavior (sec. 6) -- skip list"
     ~subtitle:
       "scan-per-free vs batched (max_free=32): depth grows with threads; \
-       batching amortizes the scan";
-  Report.series ~x_label:"threads"
+       batching amortizes the scan"
     ~columns:
       [ "scans(b=1)"; "words/scan"; "thr(b=1)"; "thr(b=32)"; "penalty %" ]
-    rows;
-  rows
+    (values amortization rows);
+  results_of rows
 
 (* ------------------------------------------------------------------ *)
 (* Extension: operation-latency distribution                           *)
@@ -415,31 +358,25 @@ let scan_behavior ?(verbose = false) ?(jobs = 1) ~speed () =
    epoch reclaimer's grace-period waits appear as multi-quantum p99 spikes,
    hazard pointers inflate the median (a fence per node), StackTrack's
    aborted-and-replayed segments widen the p95. *)
-let latency_profile ?(verbose = false) ?(jobs = 1) ~speed () =
-  let base = { (list_config speed) with mutation_pct = 40 } in
-  let schemes = [ Original; Hazards; Epoch; stacktrack_default; Dta ] in
+let latency_profile o =
+  let rs =
+    per_scheme o
+      { (list_config o.speed) with mutation_pct = 40; threads = 12 }
+      [ Original; Hazards; Epoch; stacktrack_default; Dta ]
+  in
   Report.header
     ~title:"Extension -- operation latency distribution (list, 12 threads)"
     ~subtitle:"cycles per operation; epoch pays its grace waits in the tail";
   Format.printf "%-12s %10s %10s %10s %10s %12s@." "scheme" "mean" "p50" "p95"
     "p99" "max";
-  let results =
-    run_many ~jobs
-      (List.map (fun scheme -> { base with scheme; threads = 12 }) schemes)
-  in
-  let rows =
-    List.map2
-      (fun scheme (r : Experiment.result) ->
-        if verbose then Report.run_line r;
-        let l = r.latency in
-        Format.printf "%-12s %10.0f %10d %10d %10d %12d@." (scheme_name scheme)
-          (Latency.mean l) (Latency.percentile l 50.)
-          (Latency.percentile l 95.) (Latency.percentile l 99.)
-          (Latency.max_value l);
-        (scheme, l))
-      schemes results
-  in
-  rows
+  List.iter
+    (fun (r : result) ->
+      let l = r.latency in
+      Format.printf "%-12s %10.0f %10d %10d %10d %12d@." (name r)
+        (Latency.mean l) (Latency.percentile l 50.) (Latency.percentile l 95.)
+        (Latency.percentile l 99.) (Latency.max_value l))
+    rs;
+  rs
 
 (* ------------------------------------------------------------------ *)
 (* Extension: StackTrack over software transactional memory            *)
@@ -449,38 +386,31 @@ let latency_profile ?(verbose = false) ?(jobs = 1) ~speed () =
    transactional memory, hardware support is essential for performance."
    Same scheme, same workload, TL2-style STM backend: correctness carries
    over (zero violations), throughput does not. *)
-let stm_vs_htm ?(verbose = false) ?(jobs = 1) ~speed () =
-  let base = list_config speed in
-  let threads = match speed with Quick -> [ 1; 4; 8 ] | Full -> [ 1; 2; 4; 8; 12; 16 ] in
-  Report.header
-    ~title:"Extension -- StackTrack over HTM vs STM (list)"
-    ~subtitle:"TL2-style software transactions: safe but slow (paper sec 7)";
-  let cfgs =
-    List.concat_map
-      (fun t ->
-        List.map
-          (fun backend ->
-            { base with scheme = stacktrack_default; threads = t; backend })
-          [ St_htm.Tsx.Htm; St_htm.Tsx.Stm ])
-      threads
+let stm_vs_htm o =
+  let threads =
+    match o.speed with Quick -> [ 1; 4; 8 ] | Full -> [ 1; 2; 4; 8; 12; 16 ]
   in
-  let per_thread = chunks 2 (run_many ~jobs cfgs) in
   let rows =
-    List.map2
-      (fun t rs ->
-        let thr (r : Experiment.result) =
-          if verbose then Report.run_line r;
-          assert (r.violations = 0);
-          r.throughput
-        in
-        let htm, stm =
-          match rs with [ a; b ] -> (thr a, thr b) | _ -> assert false
-        in
-        (t, [ htm; stm; (if htm = 0. then 0. else stm /. htm *. 100.) ]))
-      threads per_thread
+    grid o ~rows:threads ~cols:[ St_htm.Tsx.Htm; St_htm.Tsx.Stm ]
+      (fun threads backend ->
+        {
+          (list_config o.speed) with
+          scheme = stacktrack_default;
+          threads;
+          backend;
+        })
   in
-  Report.series ~x_label:"threads" ~columns:[ "HTM"; "STM"; "STM %" ] rows;
-  rows
+  let ratio = function
+    | [ (htm : result); stm ] ->
+        let htm = htm.throughput and stm = stm.throughput in
+        [ htm; stm; (if htm = 0. then 0. else stm /. htm *. 100.) ]
+    | _ -> assert false
+  in
+  print_table ~title:"Extension -- StackTrack over HTM vs STM (list)"
+    ~subtitle:"TL2-style software transactions: safe but slow (paper sec 7)"
+    ~columns:[ "HTM"; "STM"; "STM %" ]
+    (values ratio rows);
+  results_of rows
 
 (* ------------------------------------------------------------------ *)
 (* Extension: memory footprint over time                               *)
@@ -499,70 +429,53 @@ let crash_config speed ~threads =
     crash_tids = [ 0 ];
   }
 
-(* Run [base] under each scheme; every run must be use-after-free clean. *)
-let run_schemes ~verbose ~jobs base schemes =
-  List.map2
-    (fun scheme (r : Experiment.result) ->
-      if verbose then Report.run_line r;
-      assert (r.violations = 0);
-      (scheme, r))
-    schemes
-    (run_many ~jobs (List.map (fun scheme -> { base with scheme }) schemes))
-
 (* Per-scheme [(time, value)] series side by side, by sample index; the
    time column comes from the first scheme's series. *)
-let series_table per_scheme series =
-  let n =
-    List.fold_left
-      (fun acc (_, r) -> max acc (List.length (series r)))
-      0 per_scheme
-  in
+let series_table rs series =
+  let n = List.fold_left (fun acc r -> max acc (List.length (series r))) 0 rs in
   List.init n (fun i ->
-      ( (match List.nth_opt (series (snd (List.hd per_scheme))) i with
+      ( (match List.nth_opt (series (List.hd rs)) i with
         | Some (t, _) -> t
         | None -> 0),
         List.map
-          (fun (_, r) ->
+          (fun r ->
             match List.nth_opt (series r) i with
             | Some (_, v) -> float_of_int v
             | None -> Float.nan)
-          per_scheme ))
+          rs ))
 
 (* The paper's qualitative claim made quantitative: "a thread crash can
    result in an unbounded amount of unreclaimed memory" for quiescence
    schemes (sec 1).  Thread 0 crashes at 25% of the run; live objects are
    read from the metrics series over time: epoch's curve climbs from the
    crash onward while the non-blocking schemes stay flat. *)
-let memory_profile ?(verbose = false) ?(jobs = 1) ?(profile = false)
-    ?(lifecycle = false) ~speed () =
-  let base = crash_config speed ~threads:4 in
-  let base =
-    { base with metrics_interval = base.duration / 12; profile; lifecycle }
+let memory_profile o =
+  let base = crash_config o.speed ~threads:4 in
+  let rs =
+    per_scheme o
+      { base with metrics_interval = base.duration / 12 }
+      [ Epoch; Hazards; stacktrack_default ]
   in
-  let per_scheme =
-    run_schemes ~verbose ~jobs base [ Epoch; Hazards; stacktrack_default ]
-  in
-  Report.header
+  print_table
     ~title:"Extension -- live objects over time (list, thread 0 crashes at 25%)"
-    ~subtitle:"epoch stops reclaiming at the crash; non-blocking schemes stay flat";
-  let columns = List.map (fun (s, _) -> scheme_name s) per_scheme in
-  let live (r : Experiment.result) =
-    List.map (fun (s : Metrics.sample) -> (s.time, s.live_objects)) r.metrics
-  in
-  let rows = series_table per_scheme live in
-  Report.series ~x_label:"time" ~columns rows;
+    ~subtitle:"epoch stops reclaiming at the crash; non-blocking schemes stay flat"
+    ~x_label:"time" ~columns:(List.map name rs)
+    (series_table rs (fun (r : result) ->
+         List.map
+           (fun (s : Metrics.sample) -> (s.time, s.live_objects))
+           r.metrics));
   List.iter
-    (fun (scheme, r) ->
+    (fun (r : result) ->
       Report.note "%-12s mean reclamation lag=%-9.0f max=%-9d peak live=%d"
-        (scheme_name scheme)
+        (name r)
         (St_reclaim.Guard.mean_lag r.reclaim)
         r.reclaim.St_reclaim.Guard.lag_max r.peak_live)
-    per_scheme;
+    rs;
   (* With the ledger on, the crash figure gains its watchdog column: epoch
      stagnates (the crashed thread pins the epoch), the non-blocking
      schemes report no incidents. *)
   List.iter
-    (fun (scheme, (r : Experiment.result)) ->
+    (fun (r : result) ->
       match r.lifecycle with
       | None -> ()
       | Some lc ->
@@ -570,80 +483,61 @@ let memory_profile ?(verbose = false) ?(jobs = 1) ?(profile = false)
           Report.note
             "%-12s limbo peak=%d objs/%d words end=%d | watchdog: %d \
              incident(s), %d stalled cycles%s"
-            (scheme_name scheme) lc.peak_limbo_objects lc.peak_limbo_words
-            lc.limbo_at_end wd.St_sim.Watchdog.n_incidents
+            (name r) lc.peak_limbo_objects lc.peak_limbo_words lc.limbo_at_end
+            wd.St_sim.Watchdog.n_incidents
             wd.St_sim.Watchdog.total_stalled_cycles
             (if wd.St_sim.Watchdog.ongoing then ", ongoing at exit" else ""))
-    per_scheme;
-  per_scheme
+    rs;
+  rs
 
 (* ------------------------------------------------------------------ *)
 (* Ablations beyond the paper's figures                                *)
 (* ------------------------------------------------------------------ *)
 
-let ablation_predictor ?(verbose = false) ?(jobs = 1) ~speed () =
-  let base = list_config speed in
-  let threads = [ 4; 8; 16 ] in
-  let variants =
+(* StackTrack variants on the list at 4, 8 and 16 threads (ops/Mcycle). *)
+let variant_table ~title ~subtitle variants o =
+  let rows =
+    grid o ~rows:[ 4; 8; 16 ] ~cols:(List.map snd variants) (fun threads cfg ->
+        { (list_config o.speed) with scheme = Stacktrack_s cfg; threads })
+  in
+  print_table ~title ~subtitle ~columns:(List.map fst variants)
+    (values (List.map throughput) rows);
+  results_of rows
+
+let ablation_predictor =
+  let fixed n =
+    {
+      Stacktrack.St_config.default with
+      initial_limit = n;
+      min_limit = n;
+      max_limit = n;
+    }
+  in
+  variant_table ~title:"Ablation -- split-length predictor"
+    ~subtitle:"adaptive vs fixed split lengths (list, ops/Mcycle)"
     [
       ("adaptive", Stacktrack.St_config.default);
       ( "fixed-1",
         { Stacktrack.St_config.default with initial_limit = 1; max_limit = 1 } );
-      ( "fixed-10",
-        {
-          Stacktrack.St_config.default with
-          initial_limit = 10;
-          min_limit = 10;
-          max_limit = 10;
-        } );
-      ( "fixed-200",
-        {
-          Stacktrack.St_config.default with
-          initial_limit = 200;
-          min_limit = 200;
-          max_limit = 200;
-        } );
+      ("fixed-10", fixed 10);
+      ("fixed-200", fixed 200);
     ]
-  in
-  let cfgs =
-    List.concat_map
-      (fun t ->
-        List.map
-          (fun (_, cfg) -> { base with scheme = Stacktrack_s cfg; threads = t })
-          variants)
-      threads
-  in
-  let per_thread = chunks (List.length variants) (run_many ~jobs cfgs) in
-  let rows =
-    List.map2
-      (fun t rs ->
-        ( t,
-          List.map
-            (fun (r : Experiment.result) ->
-              if verbose then Report.run_line r;
-              r.throughput)
-            rs ))
-      threads per_thread
-  in
-  Report.header
-    ~title:"Ablation -- split-length predictor"
-    ~subtitle:"adaptive vs fixed split lengths (list, ops/Mcycle)";
-  Report.series ~x_label:"threads" ~columns:(List.map fst variants) rows;
-  rows
 
-let ablation_contention ?(verbose = false) ?(jobs = 1) ~speed:_ () =
-  (* Contended queue: effect of committing at CAS linearization points and
-     of conflict backoff (both on by default; see St_config). *)
-  let base =
-    {
-      default_config with
-      structure = Queue_s;
-      threads = 8;
-      duration = 400_000;
-      init_size = 64;
-      mutation_pct = 100;
-    }
-  in
+let ablation_scan =
+  variant_table ~title:"Ablation -- scan variant and final expose"
+    ~subtitle:
+      "per-pointer scan (Alg.1) vs single-pass hash scan (sec. 5.2) vs \
+       expose-on-final-commit (list, ops/Mcycle)"
+    [
+      ("per-ptr", Stacktrack.St_config.default);
+      ("hash-scan", { Stacktrack.St_config.default with hash_scan = true });
+      ( "expose-final",
+        { Stacktrack.St_config.default with expose_on_final = true } );
+    ]
+
+(* Contended queue: effect of committing at CAS linearization points and
+   of conflict backoff (both on by default; see St_config). *)
+let ablation_contention o =
   let variants =
     [
       ("default", Stacktrack.St_config.default);
@@ -658,108 +552,66 @@ let ablation_contention ?(verbose = false) ?(jobs = 1) ~speed:_ () =
         } );
     ]
   in
+  let base =
+    {
+      default_config with
+      structure = Queue_s;
+      threads = 8;
+      duration = 400_000;
+      init_size = 64;
+      mutation_pct = 100;
+    }
+  in
+  let rs =
+    results_of
+      (grid o ~rows:[ () ] ~cols:variants (fun () (_, cfg) ->
+           { base with scheme = Stacktrack_s cfg }))
+  in
   Report.header
     ~title:"Ablation -- contention countermeasures (queue, 8 threads, 100% enq/deq)"
     ~subtitle:"CAS-point commits and conflict backoff vs doom-replay storms";
-  let results =
-    run_many ~jobs
-      (List.map (fun (_, cfg) -> { base with scheme = Stacktrack_s cfg }) variants)
-  in
-  let rows =
-    List.map2
-      (fun (name, _) (r : Experiment.result) ->
-        if verbose then Report.run_line r;
-        (name, r))
-      variants results
-  in
-  List.iter
-    (fun (name, (r : Experiment.result)) ->
-      Report.note "%-14s thr=%-9.1f conflicts=%-7d replays=%d" name
+  List.iter2
+    (fun (variant, _) (r : result) ->
+      Report.note "%-14s thr=%-9.1f conflicts=%-7d replays=%d" variant
         r.throughput r.htm.St_htm.Htm_stats.conflict_aborts
         (match r.st with
         | Some st -> st.Stacktrack.Scheme_stats.replays
         | None -> 0))
-    rows;
-  rows
+    variants rs;
+  rs
 
-let ablation_scan ?(verbose = false) ?(jobs = 1) ~speed () =
-  let base = list_config speed in
-  let threads = [ 4; 8; 16 ] in
-  let variants =
-    [
-      ("per-ptr", Stacktrack.St_config.default);
-      ("hash-scan", { Stacktrack.St_config.default with hash_scan = true });
-      ( "expose-final",
-        { Stacktrack.St_config.default with expose_on_final = true } );
-    ]
+let ablations o =
+  List.concat_map
+    (fun figure -> figure o)
+    [ ablation_contention; ablation_scan; ablation_predictor ]
+
+(* Epoch stalls after a crash (unbounded leak); StackTrack and hazard
+   pointers keep reclaiming — the paper's §1/§6 robustness claim. *)
+let crash_resilience o =
+  let rs =
+    per_scheme o
+      {
+        (list_config Quick) with
+        threads = 4;
+        duration = 1_200_000;
+        mutation_pct = 40;
+        crash_tids = [ 0 ];
+      }
+      [ Epoch; Hazards; stacktrack_default ]
   in
-  let cfgs =
-    List.concat_map
-      (fun t ->
-        List.map
-          (fun (_, cfg) -> { base with scheme = Stacktrack_s cfg; threads = t })
-          variants)
-      threads
-  in
-  let per_thread = chunks (List.length variants) (run_many ~jobs cfgs) in
-  let rows =
-    List.map2
-      (fun t rs ->
-        ( t,
-          List.map
-            (fun (r : Experiment.result) ->
-              if verbose then Report.run_line r;
-              r.throughput)
-            rs ))
-      threads per_thread
-  in
-  Report.header
-    ~title:"Ablation -- scan variant and final expose"
+  Report.header ~title:"Crash resilience -- list, thread 0 crashed mid-run"
     ~subtitle:
-      "per-pointer scan (Alg.1) vs single-pass hash scan (sec. 5.2) vs \
-       expose-on-final-commit (list, ops/Mcycle)";
-  Report.series ~x_label:"threads" ~columns:(List.map fst variants) rows;
-  rows
-
-let crash_resilience ?(verbose = false) ?(jobs = 1) ~speed:_ () =
-  (* Epoch stalls after a crash (unbounded leak); StackTrack and hazard
-     pointers keep reclaiming — the paper's §1/§6 robustness claim. *)
-  Report.header
-    ~title:"Crash resilience -- list, thread 0 crashed mid-run"
-    ~subtitle:"frees after crash; Epoch stops reclaiming, non-blocking schemes continue";
-  let base =
-    {
-      (list_config Quick) with
-      threads = 4;
-      duration = 1_200_000;
-      mutation_pct = 40;
-      crash_tids = [ 0 ];
-    }
-  in
-  let schemes = [ Epoch; Hazards; stacktrack_default ] in
-  let results =
-    run_many ~jobs (List.map (fun scheme -> { base with scheme }) schemes)
-  in
-  let rows =
-    List.map2
-      (fun scheme (r : Experiment.result) ->
-        if verbose then Report.run_line r;
-        (scheme_name scheme, r.frees, r.live_at_end, r.violations))
-      schemes results
-  in
+      "frees after crash; Epoch stops reclaiming, non-blocking schemes continue";
   List.iter
-    (fun (name, frees, live, viol) ->
-      Report.note "%-12s frees=%-8d live-at-end=%-8d violations=%d" name frees
-        live viol)
-    rows;
-  rows
+    (fun (r : result) ->
+      Report.note "%-12s frees=%-8d live-at-end=%-8d violations=%d" (name r)
+        r.frees r.live_at_end r.violations)
+    rs;
+  rs
 
 (* ------------------------------------------------------------------ *)
 (* Stalled-thread robustness: the modern-SMR contrast figure           *)
 (* ------------------------------------------------------------------ *)
-
-let robustness_schemes =
-  [ Epoch; Debra; Debra_plus; Hazard_eras; stacktrack_default ]
 
 (* One thread crashes mid-operation at 25% of the run; the lifecycle
    ledger samples the limbo backlog every quantum.  The per-scheme curves
@@ -767,27 +619,26 @@ let robustness_schemes =
    corpse pins the epoch — unbounded backlog, an open watchdog incident),
    DEBRA+ neutralizes the corpse and recovers, Hazard Eras and StackTrack
    only ever pin what the corpse could reach and stay bounded. *)
-let robustness ?(verbose = false) ?(jobs = 1) ~speed () =
-  let base = { (crash_config speed ~threads:8) with lifecycle = true } in
-  let per_scheme = run_schemes ~verbose ~jobs base robustness_schemes in
-  Report.header
-    ~title:"Robustness -- limbo backlog under a stalled thread (list)"
-    ~subtitle:
-      "thread 0 crashes mid-op at 25%; retired-but-unfreed objects over time";
-  let columns = List.map (fun (s, _) -> scheme_name s) per_scheme in
-  let rows =
-    series_table per_scheme (fun (r : Experiment.result) ->
-        match r.lifecycle with
-        | Some lc ->
-            List.map
-              (fun s -> (s.Metrics.lc_time, s.Metrics.limbo_objects))
-              lc.lc_series
-        | None -> [])
+let robustness o =
+  let rs =
+    per_scheme o
+      { (crash_config o.speed ~threads:8) with lifecycle = true }
+      [ Epoch; Debra; Debra_plus; Hazard_eras; stacktrack_default ]
   in
-  Report.series ~x_label:"time" ~columns rows;
-  Report.csv ~name:"robustness_limbo" ~x_label:"time" ~columns rows;
+  let columns = List.map name rs in
+  print_table ~title:"Robustness -- limbo backlog under a stalled thread (list)"
+    ~subtitle:
+      "thread 0 crashes mid-op at 25%; retired-but-unfreed objects over time"
+    ~csv:("robustness_limbo", columns) ~x_label:"time" ~columns
+    (series_table rs (fun (r : result) ->
+         match r.lifecycle with
+         | Some lc ->
+             List.map
+               (fun s -> (s.Metrics.lc_time, s.Metrics.limbo_objects))
+               lc.lc_series
+         | None -> []));
   List.iter
-    (fun (scheme, (r : Experiment.result)) ->
+    (fun (r : result) ->
       match r.lifecycle with
       | None -> ()
       | Some lc ->
@@ -803,13 +654,13 @@ let robustness ?(verbose = false) ?(jobs = 1) ~speed () =
           Report.note
             "%-12s limbo peak=%d end=%d | freed=%d/%d | watchdog: %d \
              incident(s)%s%s"
-            (scheme_name scheme) lc.peak_limbo_objects lc.limbo_at_end
+            (name r) lc.peak_limbo_objects lc.limbo_at_end
             r.reclaim.St_reclaim.Guard.freed r.reclaim.St_reclaim.Guard.retired
             wd.St_sim.Watchdog.n_incidents
             (if wd.St_sim.Watchdog.ongoing then ", ongoing at exit" else "")
             extras)
-    per_scheme;
-  per_scheme
+    rs;
+  rs
 
 (* ------------------------------------------------------------------ *)
 (* Scale: million-object memory-proportionality proof                  *)
@@ -818,8 +669,6 @@ let robustness ?(verbose = false) ?(jobs = 1) ~speed () =
 let scale_points = function
   | Quick -> [ 10_000; 50_000 ]
   | Full -> [ 10_000; 100_000; 1_000_000 ]
-
-let scale_schemes = [ Epoch; Hazards; Debra; stacktrack_default ]
 
 let scale_config ~live =
   {
@@ -841,156 +690,68 @@ let scale_config ~live =
    backing store should track the touched address space (about four
    payload words per object plus table granularity), where the old dense
    arrays held a doubled capacity in four parallel copies.  Host
-   wall-clock per point is printed to stderr (it is machine-dependent;
-   stdout must stay byte-identical across runs and [--jobs] values — CI
-   diffs it). *)
-let fig_scale ?(verbose = false) ?(jobs = 1) ~speed () =
-  let points = scale_points speed in
-  let schemes = scale_schemes in
-  let cfgs =
-    List.concat_map
-      (fun live ->
-        List.map (fun scheme -> { (scale_config ~live) with scheme }) schemes)
-      points
+   wall-clock of this path is timed by [bench/hosttime.exe scale-list]. *)
+let fig_scale o =
+  let schemes = [ Epoch; Hazards; Debra; stacktrack_default ] in
+  let rows =
+    grid o ~rows:(scale_points o.speed) ~cols:schemes (fun live scheme ->
+        { (scale_config ~live) with scheme })
   in
-  let timed =
-    Pool.run ~jobs
-      (List.map
-         (fun cfg () ->
-           let t0 = Unix.gettimeofday () in
-           let r = Experiment.run cfg in
-           (r, (Unix.gettimeofday () -. t0) *. 1000.))
-         cfgs)
-  in
-  let rows = List.combine points (chunks (List.length schemes) timed) in
-  List.iter
-    (fun (live, rs) ->
-      List.iter2
-        (fun scheme ((r : Experiment.result), ms) ->
-          if verbose then Report.run_line r;
-          assert (r.violations = 0);
-          Format.eprintf "fig-scale: %-12s live=%-8d host=%8.1f ms@."
-            (scheme_name scheme) live ms)
-        schemes rs)
-    rows;
   let columns = List.map scheme_name schemes in
-  Report.header ~title:"Scale -- throughput vs live objects (hash)"
+  print_table ~title:"Scale -- throughput vs live objects (hash)"
     ~subtitle:
       "raw-populated to N live objects, 20% mutations, 8 threads; ops per \
-       Mcycle";
-  let tput =
-    List.map
-      (fun (live, rs) ->
-        (live, List.map (fun ((r : Experiment.result), _) -> r.throughput) rs))
-      rows
-  in
-  Report.series ~x_label:"live" ~columns tput;
-  Report.csv ~name:"scale_throughput" ~x_label:"live" ~columns tput;
-  Report.header ~title:"Scale -- resident heap footprint (Kwords)"
+       Mcycle"
+    ~csv:("scale_throughput", columns) ~x_label:"live" ~columns
+    (values (List.map throughput) rows);
+  print_table ~title:"Scale -- resident heap footprint (Kwords)"
     ~subtitle:
       "backing store of the chunked per-address tables at end of run; grows \
-       with touched chunks, not allocator doubling";
-  let resident =
-    List.map
-      (fun (live, rs) ->
-        ( live,
-          List.map
-            (fun ((r : Experiment.result), _) ->
-              float_of_int r.resident_words /. 1024.)
-            rs ))
-      rows
-  in
-  Report.series ~x_label:"live" ~columns resident;
-  Report.csv ~name:"scale_resident" ~x_label:"live" ~columns resident;
+       with touched chunks, not allocator doubling"
+    ~csv:("scale_resident", columns) ~x_label:"live" ~columns
+    (values
+       (List.map (fun (r : result) -> float_of_int r.resident_words /. 1024.))
+       rows);
   (match List.rev rows with
   | [] -> ()
   | (live, rs) :: _ ->
-      List.iter2
-        (fun scheme ((r : Experiment.result), _) ->
+      List.iter
+        (fun (r : result) ->
           match r.lifecycle with
           | None -> ()
           | Some lc ->
               Report.note
                 "%-12s @%d live: resident=%dK words, line tables=%dK | peak \
                  live=%d objs | limbo peak=%d objs/%d words, end=%d"
-                (scheme_name scheme) live
+                (name r) live
                 (r.resident_words / 1024)
                 (r.line_table_words / 1024)
                 r.peak_live lc.peak_limbo_objects lc.peak_limbo_words
                 lc.limbo_at_end)
-        schemes rs);
-  List.map (fun (live, rs) -> (live, List.map fst rs)) rows
+        rs);
+  results_of rows
 
 (* ------------------------------------------------------------------ *)
 (* Figure names: the one table [stacktrack_bench figures] reads        *)
 (* ------------------------------------------------------------------ *)
 
-type opts = {
-  verbose : bool;
-  jobs : int;
-  profile : bool;
-  lifecycle : bool;
-  forensics : bool;
-  speed : speed;
-}
-
-(* A figure taking only the common options, reporting derived series. *)
-let plain : type a.
-    (?verbose:bool -> ?jobs:int -> speed:speed -> unit -> a) ->
-    opts ->
-    Experiment.result list =
- fun f o ->
-  ignore (f ~verbose:o.verbose ~jobs:o.jobs ~speed:o.speed ());
-  []
-
-let sweep
-    (f :
-      ?verbose:bool ->
-      ?jobs:int ->
-      ?profile:bool ->
-      ?lifecycle:bool ->
-      speed:speed ->
-      unit ->
-      (int * Experiment.result list) list) o =
-  List.concat_map snd
-    (f ~verbose:o.verbose ~jobs:o.jobs ~profile:o.profile
-       ~lifecycle:o.lifecycle ~speed:o.speed ())
-
 let table =
   [
-    ("fig1-list", sweep fig1_list);
-    ("fig1-skiplist", sweep fig1_skiplist);
-    ("fig2-queue", sweep fig2_queue);
-    ("fig2-hash", sweep fig2_hash);
-    ("fig3-aborts", plain fig3_aborts);
-    ( "fig4-splits",
-      fun o ->
-        ignore
-          (fig4_splits ~verbose:o.verbose ~jobs:o.jobs ~forensics:o.forensics
-             ~speed:o.speed ());
-        [] );
-    ("fig5-slowpath", plain fig5_slowpath);
-    ("scan-behavior", plain scan_behavior);
-    ( "ablations",
-      fun o ->
-        plain ablation_predictor o @ plain ablation_scan o
-        @ plain ablation_contention o );
-    ("crash", plain crash_resilience);
-    ( "robustness",
-      fun o ->
-        List.map snd
-          (robustness ~verbose:o.verbose ~jobs:o.jobs ~speed:o.speed ()) );
-    ("latency", plain latency_profile);
-    ( "memory",
-      fun o ->
-        List.map snd
-          (memory_profile ~verbose:o.verbose ~jobs:o.jobs ~profile:o.profile
-             ~lifecycle:o.lifecycle ~speed:o.speed ()) );
-    ("stm", plain stm_vs_htm);
-    ( "fig-scale",
-      fun o ->
-        List.concat_map snd
-          (fig_scale ~verbose:o.verbose ~jobs:o.jobs ~speed:o.speed ()) );
+    ("fig1-list", fig1_list);
+    ("fig1-skiplist", fig1_skiplist);
+    ("fig2-queue", fig2_queue);
+    ("fig2-hash", fig2_hash);
+    ("fig3-aborts", fig3_aborts);
+    ("fig4-splits", fig4_splits);
+    ("fig5-slowpath", fig5_slowpath);
+    ("scan-behavior", scan_behavior);
+    ("ablations", ablations);
+    ("crash", crash_resilience);
+    ("robustness", robustness);
+    ("latency", latency_profile);
+    ("memory", memory_profile);
+    ("stm", stm_vs_htm);
+    ("fig-scale", fig_scale);
   ]
 
 let names = List.map fst table

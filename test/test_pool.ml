@@ -150,9 +150,9 @@ let test_pool_vs_sequential_byte_identical () =
         (Result_json.to_string a) (Result_json.to_string b))
     (List.combine seq par)
 
-(* Figure-level A/B: the restructured sweep driver itself (enumerate, pool,
-   ordered report) returns identical results for jobs=1 and jobs=2. *)
-let test_sweep_jobs_invariant () =
+(* Figure-level A/B: the figure grid itself (enumerate, pool, regroup by
+   row) returns identical results for jobs=1 and jobs=2. *)
+let test_grid_jobs_invariant () =
   let base =
     {
       Experiment.default_config with
@@ -162,8 +162,19 @@ let test_sweep_jobs_invariant () =
     }
   in
   let schemes = [ Experiment.Epoch; Experiment.stacktrack_default ] in
-  let sweep jobs =
-    Figures.throughput_sweep ~jobs ~speed:Figures.Quick ~base ~schemes ()
+  let grid jobs =
+    Figures.grid
+      {
+        Figures.verbose = false;
+        jobs;
+        profile = false;
+        lifecycle = false;
+        forensics = false;
+        speed = Figures.Quick;
+      }
+      ~rows:(Figures.thread_points Figures.Quick)
+      ~cols:schemes
+      (fun threads scheme -> { base with scheme; threads })
   in
   let enc rows =
     String.concat "\n"
@@ -174,7 +185,7 @@ let test_sweep_jobs_invariant () =
              rs)
          rows)
   in
-  checks "jobs=2 sweep identical to jobs=1" (enc (sweep 1)) (enc (sweep 2))
+  checks "jobs=2 grid identical to jobs=1" (enc (grid 1)) (enc (grid 2))
 
 let () =
   Alcotest.run "st_pool"
@@ -205,6 +216,6 @@ let () =
           Alcotest.test_case "pool vs sequential byte-identical" `Slow
             test_pool_vs_sequential_byte_identical;
           Alcotest.test_case "sweep jobs-invariant" `Slow
-            test_sweep_jobs_invariant;
+            test_grid_jobs_invariant;
         ] );
     ]
