@@ -90,6 +90,75 @@ let test_bad_free () =
     (Shadow.count_kind (Heap.shadow h) Shadow.Bad_free);
   checkb "object still live" true (Heap.is_allocated h a)
 
+(* The allocator's free verdicts at both alignments the experiments use
+   (align 1 is effectively 2).  Every interior word of an object, aligned
+   or not, was never a base: freeing it is a bad free whether the object
+   is live or freed, and only a base freed twice is a double free. *)
+let test_free_verdicts () =
+  List.iter
+    (fun align ->
+      let h = mk ~align () in
+      let count k = Shadow.count_kind (Heap.shadow h) k in
+      let a = Heap.alloc h ~tid:0 ~size:8 in
+      let b = Heap.alloc h ~tid:0 ~size:8 in
+      for off = 1 to 7 do
+        Heap.free h ~tid:0 (b + off)
+      done;
+      checki "interior frees of a live object" 7 (count Shadow.Bad_free);
+      checkb "object still live" true (Heap.is_allocated h b);
+      Heap.free h ~tid:0 a;
+      Heap.free h ~tid:0 a;
+      checki "freed base freed again" 1 (count Shadow.Double_free);
+      for off = 1 to 7 do
+        Heap.free h ~tid:0 (a + off)
+      done;
+      checki "interior frees of a freed object" 14 (count Shadow.Bad_free);
+      checki "no further double free" 1 (count Shadow.Double_free))
+    [ 1; 4 ]
+
+(* Free lists are segregated by exact size and never split or coalesce, so
+   a freed base is never reused as an interior word of another object: a
+   larger object takes fresh address space, and the freed base stays a
+   dead base until an object of its own size class reuses it.  The
+   aligned interior words of the larger object are not bases. *)
+let test_freed_base_not_interior () =
+  let h = mk ~align:4 () in
+  let count k = Shadow.count_kind (Heap.shadow h) k in
+  let a = Heap.alloc h ~tid:0 ~size:4 in
+  Heap.free h ~tid:0 a;
+  let big = Heap.alloc h ~tid:0 ~size:16 in
+  checkb "larger object does not cover the freed base" true
+    (a < big || a >= big + 16);
+  checki "freed base has no owner" 0 (Heap.owner_of h a);
+  Heap.free h ~tid:0 a;
+  checki "freed base freed again" 1 (count Shadow.Double_free);
+  for off = 1 to 3 do
+    checki "aligned interior word owned by the base" big
+      (Heap.owner_of h (big + (4 * off)));
+    Heap.free h ~tid:0 (big + (4 * off))
+  done;
+  checki "aligned interior frees" 3 (count Shadow.Bad_free);
+  checki "no further double free" 1 (count Shadow.Double_free);
+  checkb "larger object still live" true (Heap.is_allocated h big)
+
+(* A reused base reports the new object's size and birth, not the freed
+   one's. *)
+let test_reused_base_metadata () =
+  let h = mk ~align:4 () in
+  let a = Heap.alloc h ~tid:0 ~size:8 in
+  let _ = Heap.alloc h ~tid:0 ~size:4 in
+  Heap.free h ~tid:0 a;
+  Alcotest.check Alcotest.(option int) "freed size" None (Heap.size_of h a);
+  checki "freed birth" 0 (Heap.birth_ix h a);
+  let a' = Heap.alloc h ~tid:0 ~size:5 in
+  checki "base reused" a a';
+  Alcotest.check Alcotest.(option int) "new size (rounded)" (Some 8)
+    (Heap.size_of h a);
+  checki "new birth index" 3 (Heap.birth_ix h a);
+  Alcotest.check Alcotest.(option int) "new birth" (Some 2)
+    (Heap.birth_of h a);
+  checki "no violations" 0 (Shadow.count (Heap.shadow h))
+
 let test_strict_raises () =
   let h = mk ~strict:true () in
   let a = Heap.alloc h ~tid:0 ~size:1 in
@@ -570,6 +639,11 @@ let () =
           Alcotest.test_case "bad free" `Quick test_bad_free;
           Alcotest.test_case "strict raises" `Quick test_strict_raises;
           Alcotest.test_case "base_of" `Quick test_base_of;
+          Alcotest.test_case "free verdicts" `Quick test_free_verdicts;
+          Alcotest.test_case "freed base never interior" `Quick
+            test_freed_base_not_interior;
+          Alcotest.test_case "reused base metadata" `Quick
+            test_reused_base_metadata;
         ] );
       ( "props",
         [
