@@ -141,6 +141,13 @@ let test_freed_base_not_interior () =
   checki "no further double free" 1 (count Shadow.Double_free);
   checkb "larger object still live" true (Heap.is_allocated h big)
 
+let test_align_power_of_two () =
+  checkb "align 3 rejected" true
+    (try
+       ignore (mk ~align:3 ());
+       false
+     with Invalid_argument _ -> true)
+
 (* A reused base reports the new object's size and birth, not the freed
    one's. *)
 let test_reused_base_metadata () =
@@ -567,10 +574,13 @@ let run_oracle_trace ~seed ~quarantine ~align ~steps =
   checki "uaf writes" o.Dense_oracle.uaf_writes
     (Shadow.count_kind shadow Shadow.Write_after_free);
   (* Resident backing store is proportional to the touched chunks: exactly
-     the chunks covering [brk], times the four per-address tables. *)
-  let chunks = (brk + Heap.chunk_words - 1) / Heap.chunk_words in
+     the chunks covering [brk], times two words per address (payload and
+     owner) plus two per aligned base slot (size and birth). *)
+  let covered =
+    (brk + Heap.chunk_words - 1) / Heap.chunk_words * Heap.chunk_words
+  in
   checki "resident words track touched chunks"
-    (4 * chunks * Heap.chunk_words)
+    ((2 * covered) + (2 * covered / max 2 align))
     (Heap.resident_words h);
   true
 
@@ -626,6 +636,8 @@ let () =
           Alcotest.test_case "quarantine delays reuse" `Quick
             test_quarantine_delays_reuse;
           Alcotest.test_case "alignment" `Quick test_alignment_rounds_sizes;
+          Alcotest.test_case "align must be a power of two" `Quick
+            test_align_power_of_two;
           Alcotest.test_case "dense oracle, multi-chunk trace" `Quick
             test_oracle_heavy;
           Alcotest.test_case "free-list path allocates nothing" `Quick
