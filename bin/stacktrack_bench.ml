@@ -339,14 +339,6 @@ let run_cmd =
         prerr_endline e;
         exit 2
     | Ok scheme ->
-        (* Fail on an unwritable trace path before burning the run. *)
-        (match trace_out with
-        | Some file -> (
-            try close_out (open_out file)
-            with Sys_error msg ->
-              Printf.eprintf "stacktrack_bench: cannot write trace: %s\n" msg;
-              exit 2)
-        | None -> ());
         let trace =
           Option.map
             (fun _ ->
@@ -377,12 +369,20 @@ let run_cmd =
             forensics;
           }
         in
-        let r =
-          try Experiment.run cfg
-          with Invalid_argument msg ->
-            Printf.eprintf "stacktrack_bench: %s\n" msg;
-            exit 2
-        in
+        (* Reject a bad config, then an unwritable trace path, before
+           creating any file or burning the run. *)
+        (try Experiment.validate cfg
+         with Invalid_argument msg ->
+           Printf.eprintf "stacktrack_bench: %s\n" msg;
+           exit 2);
+        (match trace_out with
+        | Some file -> (
+            try close_out (open_out file)
+            with Sys_error msg ->
+              Printf.eprintf "stacktrack_bench: cannot write trace: %s\n" msg;
+              exit 2)
+        | None -> ());
+        let r = Experiment.run cfg in
         if json then print_string (Result_json.to_string r ^ "\n")
         else print_result r;
         (match flame_out with

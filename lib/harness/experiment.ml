@@ -295,7 +295,7 @@ let worker_loop ~sched ~duration ~ops_per_thread ~latency ~(mk : int -> 'th)
   done;
   quiesce th
 
-let run cfg =
+let validate cfg =
   let reject fmt = Printf.ksprintf invalid_arg ("Experiment.run: " ^^ fmt) in
   if cfg.threads < 1 || cfg.threads > Topology.max_threads then
     reject "threads = %d, must be between 1 and %d" cfg.threads
@@ -315,6 +315,13 @@ let run cfg =
   if cfg.structure = Hash_s && cfg.n_buckets < 1 then
     reject "n_buckets = %d, must be at least 1 for the hash table"
       cfg.n_buckets;
+  match cfg.scheme with
+  | Stacktrack_s { forced_slow_pct = p; _ } when p < 0 || p > 100 ->
+      reject "forced_slow_pct = %d, must be between 0 and 100" p
+  | _ -> ()
+
+let run cfg =
+  validate cfg;
   let topo = Topology.create ~cores:cfg.cores ~smt:cfg.smt () in
   (* Forensics needs the pending-transaction pot to split wasted cycles per
      abort cause, so it turns the profiler's bookkeeping on internally;

@@ -245,13 +245,18 @@ type result = {
 val throughput_of : ops:int -> makespan:int -> float
 (** Operations per million virtual cycles ([0.] when [makespan = 0]). *)
 
-val run : config -> result
-(** Run one experiment to completion.  Raises [Invalid_argument], before
-    simulating anything, unless [cfg.threads] is between 1 and
+val validate : config -> unit
+(** The checks {!run} makes before simulating anything: raises
+    [Invalid_argument] unless [cfg.threads] is between 1 and
     {!St_sim.Topology.max_threads}, every crash tid is in
     [\[0, threads)], [key_range >= 1], [init_size] is in 0..[key_range],
-    [mutation_pct] is in 0..100 and,
-    for the hash table, [n_buckets >= 1].  The run registers exactly
+    [mutation_pct] is in 0..100, a StackTrack scheme's [forced_slow_pct]
+    is in 0..100 and, for the hash table, [n_buckets >= 1].  A caller that
+    creates files for a run calls it first. *)
+
+val run : config -> result
+(** Run one experiment to completion.  Raises [Invalid_argument] from
+    {!validate} before simulating anything.  The run registers exactly
     [cfg.threads] scheduler threads, whatever its observers and crashes.  Deterministic in [cfg]; touches no state
     outside the values it creates, so concurrent calls from different
     domains are independent. *)

@@ -491,6 +491,14 @@ let test_threads_above_limit () =
   in
   checkb ("error names the limit: " ^ msg) true (mentions 0);
   let small = { Experiment.default_config with threads = 4; duration = 20_000 } in
+  let forced_slow pct =
+    {
+      small with
+      scheme =
+        Experiment.Stacktrack_s
+          { Stacktrack.St_config.default with forced_slow_pct = pct };
+    }
+  in
   List.iter
     (fun (what, cfg) -> ignore (rejects what cfg))
     [
@@ -503,7 +511,11 @@ let test_threads_above_limit () =
       ("mutation_pct -1", { small with mutation_pct = -1 });
       ( "hash table with 0 buckets",
         { small with structure = Experiment.Hash_s; n_buckets = 0 } );
+      ("forced_slow_pct -1", forced_slow (-1));
     ];
+  Alcotest.check Alcotest.string "forced_slow_pct above 100"
+    "Experiment.run: forced_slow_pct = 200, must be between 0 and 100"
+    (rejects "forced_slow_pct 200" (forced_slow 200));
   checki "last thread may crash" 0
     (Experiment.run { small with crash_tids = [ 3 ] }).violations
 
