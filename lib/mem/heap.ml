@@ -10,13 +10,13 @@ module Vec = St_sim.Vec
    - [cells] interleaves each address's payload word (at [2 * off], [off =
      addr land chunk_mask]) with the base of the live object owning it (at
      [2 * off + 1], 0 when dead), so a checked access loads one chunk and
-     touches two adjacent words instead of two tables.
+     touches two adjacent words.
    - [meta] holds [size; 1 + birth] per aligned base slot [off lsr ashift].
      Bases are multiples of the effective alignment [2^ashift], so the
-     object metadata costs [2 / 2^ashift] words per address instead of a
-     full table each.  A size stays after its object is freed, which is
-     what tells a double free from a bad free; the +1 on the birth keeps 0
-     free as the "no live object" sentinel of [birth_ix]. *)
+     object metadata costs [2 / 2^ashift] words per address.  A size
+     stays after its object is freed, which is what tells a double free
+     from a bad free; the +1 on the birth keeps 0 free as the "no live
+     object" sentinel of [birth_ix]. *)
 let chunk_shift = 16
 let chunk_words = 1 lsl chunk_shift
 let chunk_mask = chunk_words - 1

@@ -33,7 +33,10 @@ val create :
     for immediate LIFO reuse (maximal ABA stress).  [align] (default 4
     words = one modelled cache line) rounds object sizes up so objects
     never share a line — the false-sharing avoidance every concurrent
-    allocator performs. *)
+    allocator performs.  It must be a power of two no larger than
+    {!chunk_words}, or [create] raises [Invalid_argument]; bases are
+    aligned to [max 2 align] words, which keeps the low pointer bit free
+    for deletion marks. *)
 
 val shadow : t -> Shadow.t
 
@@ -109,19 +112,22 @@ val quarantined : t -> int
 (** Freed blocks currently held in the reuse quarantine. *)
 
 val chunk_words : int
-(** Words per backing-store chunk (a power of two).  The per-address tables
-    are chunk directories grown on demand, so resident memory tracks the
-    touched address space in [chunk_words] granules instead of doubling
-    dense arrays. *)
+(** Simulated addresses per backing-store chunk (a power of two).  The
+    backing store is two chunk directories grown on demand — payload and
+    owner words per address, size and birth per aligned base slot — so
+    resident memory tracks the touched address space in [chunk_words]
+    granules instead of doubling dense arrays. *)
 
 val touched_chunks : t -> int
-(** Chunks currently backed in each per-address table. *)
+(** Chunks currently backed in each of the two directories. *)
 
 val resident_words : t -> int
-(** Total words of backing store held across the four per-address tables
-    ([4 * touched_chunks * chunk_words]) — the resident-footprint number
-    the scale figure reports, as opposed to {!words_in_use} which counts
-    only words inside live objects. *)
+(** Total words of backing store: [2 * c + 2 * c / max 2 align] for the
+    [c = touched_chunks * chunk_words] covered addresses (payload and owner
+    per address, size and birth per aligned base slot; 2.5 words per
+    address at the default [align = 4]).  This is the resident-footprint
+    number the scale figure reports, as opposed to {!words_in_use} which
+    counts only words inside live objects. *)
 
 val poison : Word.value
 (** The pattern written into freed words. *)

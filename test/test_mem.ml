@@ -142,11 +142,16 @@ let test_freed_base_not_interior () =
   checkb "larger object still live" true (Heap.is_allocated h big)
 
 let test_align_power_of_two () =
-  checkb "align 3 rejected" true
-    (try
-       ignore (mk ~align:3 ());
-       false
-     with Invalid_argument _ -> true)
+  List.iter
+    (fun align ->
+      checkb
+        (Printf.sprintf "align %d rejected" align)
+        true
+        (try
+           ignore (mk ~align ());
+           false
+         with Invalid_argument _ -> true))
+    [ 0; 3; 6; 2 * Heap.chunk_words ]
 
 (* A reused base reports the new object's size and birth, not the freed
    one's. *)
