@@ -270,9 +270,9 @@ type result = {
           Hazard Eras era clock...); [[]] for the classic schemes, so
           their JSON output is unchanged. *)
   resident_words : int;
-      (** Words of heap backing store at end of run ({!Heap.resident_words}:
-          touched chunks x chunk size across the four per-address tables).
-          Never emitted to JSON; the scale figure reports it. *)
+      (** Words of heap backing store at end of run
+          ({!Heap.resident_words}).  Never emitted to JSON; the scale
+          figure reports it. *)
   line_table_words : int;
       (** Words held by the HTM layer's chunked per-line tables
           ({!Tsx.line_table_words}); never emitted to JSON. *)

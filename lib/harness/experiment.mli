@@ -234,8 +234,8 @@ type result = {
           committed goldens) are unchanged. *)
   resident_words : int;
       (** Words of heap backing store at end of run
-          ({!St_mem.Heap.resident_words}: touched chunks x chunk size
-          across the four per-address tables).  Never emitted to JSON; the
+          ({!St_mem.Heap.resident_words}: 2.5 words per covered address
+          at the default alignment).  Never emitted to JSON; the
           scale figure reports it as the memory-proportionality proof. *)
   line_table_words : int;
       (** Words held by the HTM layer's chunked per-line coherence/conflict

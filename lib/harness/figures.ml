@@ -706,8 +706,8 @@ let fig_scale o =
     (values (List.map throughput) rows);
   print_table ~title:"Scale -- resident heap footprint (Kwords)"
     ~subtitle:
-      "backing store of the chunked per-address tables at end of run; grows \
-       with touched chunks, not allocator doubling"
+      "backing store of the chunked heap at end of run; grows with touched \
+       chunks, not allocator doubling"
     ~csv:("scale_resident", columns) ~x_label:"live" ~columns
     (values
        (List.map (fun (r : result) -> float_of_int r.resident_words /. 1024.))

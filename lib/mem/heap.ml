@@ -262,16 +262,16 @@ let free t ~tid addr =
     end
   end
 
-(* The success branches skip the bounds checks: [in_heap] established
-   [heap_base <= addr < brk], and the chunks cover [brk] ([ensure_capacity]
-   appends them before [brk] moves).  These two functions sit under every
-   simulated memory access; each loads its chunk once (the compiler shares
-   the [cell] load) and finds the owner beside the payload. *)
 let peek t addr =
   if addr >= 0 && addr < coverage t then
     Array.unsafe_get (cell t addr) (ix addr)
   else poison
 
+(* The success branches skip the bounds checks: [in_heap] established
+   [heap_base <= addr < brk], and the chunks cover [brk] ([ensure_capacity]
+   appends them before [brk] moves).  These two functions sit under every
+   simulated memory access; each loads its chunk once (the compiler shares
+   the [cell] load) and finds the owner beside the payload. *)
 let read t ~tid addr =
   if in_heap t addr && owner t addr <> 0 then
     Array.unsafe_get (cell t addr) (ix addr)
